@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke obs-smoke perf-gate perf-report bench-engine sweep-bench bundle-gate cpuprof-gate
+.PHONY: test lint lint-json lint-baseline arch arch-gate arch-lock verify bench bench-smoke bench-check obs-smoke perf-gate perf-report bench-engine sweep-bench bundle-gate cpuprof-gate
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,10 +22,17 @@ lint-json:
 lint-baseline:
 	$(PYTHON) -m repro.devtools.lint src benchmarks --write-baseline
 
-verify: lint arch-gate test bench-smoke obs-smoke bundle-gate cpuprof-gate perf-gate
+verify: lint arch-gate test bench-smoke bench-check obs-smoke bundle-gate cpuprof-gate perf-gate
 
 bench-smoke:
 	$(PYTHON) benchmarks/smoke.py
+
+# One short traced pass of every perfbench workload: the mask oracle,
+# the traced bit-identity checks (n_jobs=2 = serial, session sweep =
+# layer-by-layer rebuild) and the mine()/results_from_mined calls the
+# benchmark makes. Exits non-zero on any failed check.
+bench-check:
+	$(PYTHON) perfbench/run.py --workload all --seed 3 --seconds 1 --trace 1
 
 obs-smoke:
 	$(PYTHON) benchmarks/smoke.py --obs

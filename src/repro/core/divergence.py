@@ -117,6 +117,49 @@ def welch_t(subgroup: OutcomeStats, dataset: OutcomeStats) -> float:
     return abs(delta) / math.sqrt(pooled)
 
 
+def subgroup_columns(
+    count: np.ndarray,
+    n: np.ndarray,
+    total: np.ndarray,
+    total_sq: np.ndarray,
+    dataset: OutcomeStats,
+    n_rows: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(support, mean, divergence, t) of many subgroups at once.
+
+    The array form of ``count / n_rows``, :attr:`OutcomeStats.mean`,
+    :func:`divergence` and :func:`welch_t`, one entry per subgroup. Every
+    element goes through the same IEEE operations, in the same order, as
+    the scalar path, so the results agree with it bit for bit —
+    including the NaN, ``max(var, 0)`` and ``pooled == 0`` branches.
+    """
+    size = len(n)
+    if n_rows:
+        support = count / n_rows
+    else:
+        support = np.zeros(size)
+    mean = np.full(size, np.nan)
+    t = np.full(size, np.nan)
+    # Python float arithmetic overflows to inf silently; so does this.
+    with np.errstate(all="ignore"):
+        np.divide(total, n, out=mean, where=n != 0)
+        delta = mean - dataset.mean
+        two = np.flatnonzero(n >= 2)
+        if dataset.n >= 2 and two.size:
+            n2 = n[two]
+            m = mean[two]
+            var = (total_sq[two] - n2 * m * m) / (n2 - 1)
+            var = np.where(0.0 > var, 0.0, var)  # max(var, 0.0), NaN kept
+            pooled = var / n2 + dataset.variance / dataset.n
+            d = delta[two]
+            tt = np.abs(d) / np.sqrt(pooled)
+            zero = pooled == 0.0  # reprolint: disable=RPL006 (exact-zero guard)
+            # reprolint: disable-next-line=RPL006 (both variances exactly 0)
+            tt[zero] = np.where(d[zero] == 0.0, 0.0, math.inf)
+            t[two] = tt
+    return support, mean, delta, t
+
+
 def welch_degrees_of_freedom(
     subgroup: OutcomeStats, dataset: OutcomeStats
 ) -> float:

@@ -8,24 +8,30 @@ statistics inside the frequent-pattern mining pass.
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.core.config import ExploreConfig, resolve_config
 from repro.core.items import Item
 from repro.core.mining.generalized import base_universe
-from repro.core.mining.transactions import EncodedUniverse, MinedItemset, mine
-from repro.core.outcomes import Outcome, coerce_outcome
+from repro.core.mining.transactions import (
+    EncodedUniverse,
+    MinedColumns,
+    MinedItemset,
+    mine,
+)
+from repro.core.outcomes import Outcome, coerce_outcome, frozen_outcome
 from repro.core.polarity import mine_with_polarity
-from repro.core.results import ResultSet, SubgroupResult
+from repro.core.results import ResultSet
 from repro.obs.collector import AnyCollector
 from repro.tabular import Table
 
 
 def results_from_mined(
     universe: EncodedUniverse,
-    mined: Iterable[MinedItemset],
+    mined: MinedColumns | Iterable[MinedItemset],
     elapsed_seconds: float,
     obs: AnyCollector | None = None,
 ) -> ResultSet:
@@ -34,17 +40,35 @@ def results_from_mined(
     The results are put in canonical order (sorted id tuples), which
     makes the ResultSet independent of the backend's emission order and
     stable under support filtering — a warm `ExploreSession` replay and
-    a cold run produce bit-identical sets, in the same order.
+    a cold run produce bit-identical sets, in the same order. Statistics
+    are computed as columns; no per-subgroup object is built.
     """
-    global_stats = universe.global_stats()
-    ordered = sorted(mined, key=lambda m: tuple(sorted(m.ids)))
-    results = [
-        SubgroupResult.from_stats(
-            m.to_itemset(universe), m.stats, global_stats, universe.n_rows
-        )
-        for m in ordered
-    ]
-    return ResultSet(results, global_stats, elapsed_seconds, obs=obs)
+    cols = MinedColumns.from_itemsets(mined).canonical()
+    return ResultSet._from_stats(
+        universe.items, cols.ids, (cols.count, cols.n, cols.total, cols.total_sq),
+        universe.global_stats(), universe.n_rows, elapsed_seconds, obs=obs,
+    )
+
+
+def mine_and_materialize(
+    universe: EncodedUniverse,
+    mine_call: Callable[[], MinedColumns],
+    polarity: bool,
+    obs: AnyCollector,
+) -> ResultSet:
+    """Run ``mine_call`` under a ``mine`` span, then build the results
+    under a ``materialize`` span.
+
+    ``ResultSet.elapsed_seconds`` covers both: the time from the start
+    of mining to a ranked result a caller can query.
+    """
+    start = time.perf_counter()
+    with obs.span("mine", polarity=polarity):
+        mined = mine_call()
+    with obs.span("materialize", subgroups=len(mined)):
+        result = results_from_mined(universe, mined, 0.0, obs=obs)
+    result.elapsed_seconds = time.perf_counter() - start
+    return result
 
 
 class DivExplorer:
@@ -115,10 +139,18 @@ class DivExplorer:
             defaults to all categorical columns.
         extra_items:
             Additional items appended verbatim.
+
+
+        Raises
+        ------
+        ValueError
+            When the outcome has no defined value or an infinite one
+            (see :func:`~repro.core.outcomes.frozen_outcome`), before
+            any discretization or mining.
         """
         universe = base_universe(
             table,
-            coerce_outcome(outcome),
+            frozen_outcome(coerce_outcome(outcome), table),
             continuous_items or {},
             categorical_attributes,
             extra_items,
@@ -130,27 +162,24 @@ class DivExplorer:
     def explore_universe(self, universe: EncodedUniverse) -> ResultSet:
         """Explore a pre-encoded universe (shared with H-DivExplorer).
 
-        The wall time lands on ``ResultSet.elapsed_seconds`` whether or
-        not observability is on; with an enabled collector the mining
-        additionally runs inside a ``mine`` span (with the per-backend
-        span nested under it) and the collector travels on the
-        returned :class:`ResultSet`.
+        The wall time of mining plus result materialization lands on
+        ``ResultSet.elapsed_seconds`` whether or not observability is
+        on; with an enabled collector they run inside ``mine`` (with
+        the per-backend span nested under it) and ``materialize``
+        spans, and the collector travels on the returned
+        :class:`ResultSet`.
         """
         obs = self.obs
         # Deadline coverage starts at mining; encoding (in explore())
         # has no cooperative checkpoints.
         obs.arm_deadline(self.config.deadline_s)
-        start = time.perf_counter()
-        with obs.span("mine", polarity=self.polarity):
-            if self.polarity:
-                mined = mine_with_polarity(
-                    universe, self.min_support, self.backend, self.max_length,
-                    n_jobs=self.n_jobs, obs=obs,
-                )
-            else:
-                mined = mine(
-                    universe, self.min_support, self.backend, self.max_length,
-                    n_jobs=self.n_jobs, obs=obs,
-                )
-        elapsed = time.perf_counter() - start
-        return results_from_mined(universe, mined, elapsed, obs=obs)
+        mine_fn = mine_with_polarity if self.polarity else mine
+        return mine_and_materialize(
+            universe,
+            partial(
+                mine_fn, universe, self.min_support, self.backend,
+                self.max_length, n_jobs=self.n_jobs, obs=obs,
+            ),
+            self.polarity,
+            obs,
+        )

@@ -14,6 +14,7 @@ The two-step pipeline of the paper:
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -23,9 +24,9 @@ from repro.core.discretize.tree import TreeDiscretizer
 from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.mining.generalized import generalized_universe
 from repro.core.mining.transactions import mine
-from repro.core.outcomes import Outcome, coerce_outcome
+from repro.core.outcomes import Outcome, coerce_outcome, frozen_outcome
 from repro.core.polarity import mine_with_polarity
-from repro.core.explorer import results_from_mined
+from repro.core.explorer import mine_and_materialize
 from repro.core.results import ResultSet
 from repro.obs.bundle import bundle_scope
 from repro.tabular import Table
@@ -142,8 +143,16 @@ class HDivExplorer:
         categorical_attributes:
             Categorical attributes included as flat value items when
             they have no hierarchy; defaults to all of them.
+
+
+        Raises
+        ------
+        ValueError
+            When the outcome has no defined value or an infinite one
+            (see :func:`~repro.core.outcomes.frozen_outcome`), before
+            any discretization or mining.
         """
-        outcome = coerce_outcome(outcome)
+        outcome = frozen_outcome(coerce_outcome(outcome), table)
         gamma = HierarchySet()
         provided = (
             hierarchies if isinstance(hierarchies, HierarchySet)
@@ -171,7 +180,8 @@ class HDivExplorer:
         with bundle_scope(self.config, obs, dataset=table, name="hexplore"):
             # The explicit perf_counter pairs stay (the NullCollector's
             # spans record nothing): last_discretization_seconds_ and
-            # ResultSet.elapsed_seconds must be populated either way.
+            # ResultSet.elapsed_seconds (mine + materialize) must be
+            # populated either way.
             start = time.perf_counter()
             with obs.span(
                 "discretize", attributes=len(continuous_attributes)
@@ -191,17 +201,13 @@ class HDivExplorer:
                 obs=obs,
             )
             obs.checkpoint("encode")
-            start = time.perf_counter()
-            with obs.span("mine", polarity=self.polarity):
-                if self.polarity:
-                    mined = mine_with_polarity(
-                        universe, self.min_support, self.backend,
-                        self.max_length, n_jobs=self.n_jobs, obs=obs,
-                    )
-                else:
-                    mined = mine(
-                        universe, self.min_support, self.backend,
-                        self.max_length, n_jobs=self.n_jobs, obs=obs,
-                    )
-            elapsed = time.perf_counter() - start
-            return results_from_mined(universe, mined, elapsed, obs=obs)
+            mine_fn = mine_with_polarity if self.polarity else mine
+            return mine_and_materialize(
+                universe,
+                partial(
+                    mine_fn, universe, self.min_support, self.backend,
+                    self.max_length, n_jobs=self.n_jobs, obs=obs,
+                ),
+                self.polarity,
+                obs,
+            )

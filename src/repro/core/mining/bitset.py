@@ -35,7 +35,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.divergence import OutcomeStats
-from repro.core.mining.transactions import EncodedUniverse, MinedItemset
+from repro.core.mining.transactions import (
+    EncodedUniverse,
+    MinedColumns,
+    pad_rows,
+)
 from repro.obs.collector import NULL_OBS, AnyCollector, resolve_obs
 
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
@@ -299,20 +303,21 @@ class BitsetEngine:
 
     def mine(
         self, min_support: float, max_length: int | None = None
-    ) -> list[MinedItemset]:
+    ) -> MinedColumns:
         """Mine all frequent itemsets depth-first over packed covers.
 
         Emits itemsets in Eclat DFS order (candidate items in universe
         order), so the output is deterministic and identical to the
         concatenation of :meth:`mine_subtree` over the frequent roots.
         """
-        raw = self._mine_raw(
-            (), None, np.arange(self.universe.n_items()), min_support, max_length
-        )
-        return [
-            MinedItemset(frozenset(ids), OutcomeStats(c, n, t, t2))
-            for ids, c, n, t, t2 in raw
-        ]
+        min_count = self._min_count(min_support)
+        blocks: list[Block] = []
+        if self.universe.n_items() and (max_length is None or max_length > 0):
+            self._extend(
+                (), None, np.arange(self.universe.n_items()),
+                min_count, max_length, blocks,
+            )
+        return columns_from_blocks(blocks)
 
     def mine_subtree(
         self,
@@ -320,46 +325,30 @@ class BitsetEngine:
         tail: Sequence[int],
         min_support: float,
         max_length: int | None = None,
-    ) -> list[tuple[tuple[int, ...], int, int, float, float]]:
-        """Mine the DFS subtree of one first-level item, in raw form.
+    ) -> MinedColumns:
+        """Mine the DFS subtree of one first-level item.
 
         ``tail`` is the root's candidate extensions (frequent items
-        after it, different attribute). Returns raw tuples
-        ``(itemset ids, count, n, Σo, Σo²)`` — cheap to pickle across
-        the parallel fan-out; :func:`raw_to_mined` materializes them.
-        The root's cover is derived through the cover cache.
+        after it, different attribute). The result's arrays are cheap
+        to pickle across the parallel fan-out. The root's cover is
+        derived through the cover cache.
         """
         min_count = self._min_count(min_support)
         cover = self.cover((root,))
         count = int(popcount_rows(cover))
         if count < min_count:
-            return []
-        ns, totals, totals_sq = self._stat_components(cover[None, :], [count])
-        results: list[tuple[tuple[int, ...], int, int, float, float]] = [
-            ((root,), count, int(ns[0]), float(totals[0]), float(totals_sq[0]))
+            return MinedColumns.empty()
+        counts = np.array([count], dtype=np.int64)
+        ns, totals, totals_sq = self._stat_components(cover[None, :], counts)
+        blocks: list[Block] = [
+            ((), np.array([root], dtype=np.int64), counts, ns, totals, totals_sq)
         ]
         if (max_length is None or max_length > 1) and len(tail):
             self._extend(
                 (root,), cover, np.asarray(tail, dtype=np.int64),
-                min_count, max_length, results,
+                min_count, max_length, blocks,
             )
-        return results
-
-    def _mine_raw(
-        self,
-        prefix: tuple[int, ...],
-        prefix_cover: np.ndarray | None,
-        candidates: np.ndarray,
-        min_support: float,
-        max_length: int | None,
-    ) -> list[tuple[tuple[int, ...], int, int, float, float]]:
-        min_count = self._min_count(min_support)
-        results: list[tuple[tuple[int, ...], int, int, float, float]] = []
-        if len(candidates) and (max_length is None or max_length > len(prefix)):
-            self._extend(
-                prefix, prefix_cover, candidates, min_count, max_length, results
-            )
-        return results
+        return columns_from_blocks(blocks)
 
     def _extend(
         self,
@@ -368,13 +357,14 @@ class BitsetEngine:
         candidates: np.ndarray,
         min_count: int,
         max_length: int | None,
-        results: list,
+        blocks: list[Block],
     ) -> None:
         """One batched DFS step: evaluate all extensions of ``prefix``.
 
         All candidate covers are intersected and popcounted in fused
         vector calls; survivors get their statistics from one batched
-        aggregation, then each is recursed into with the remaining
+        aggregation and are appended to ``blocks`` as one block of
+        arrays. Each survivor is then recursed into with the remaining
         later siblings of a different attribute.
         """
         covers = self.item_words[candidates]
@@ -392,35 +382,26 @@ class BitsetEngine:
         kept_covers = covers[keep]
         kept_counts = counts[keep]
         ns, totals, totals_sq = self._stat_components(kept_covers, kept_counts)
+        blocks.append((prefix, kept_ids, kept_counts, ns, totals, totals_sq))
         can_extend = max_length is None or len(prefix) + 1 < max_length
+        top_level = not prefix
+        if not (can_extend or top_level):
+            return
         kept_codes = self._attr_codes[kept_ids]
         id_list = kept_ids.tolist()
-        top_level = not prefix
         if top_level:
             # Work accounting in frequent level-1 roots — the same unit
             # the parallel fan-out counts shards in, so progress totals
             # are identical across n_jobs.
             self.obs.progress("mine", advance=0, expect=len(id_list))
         for pos, i in enumerate(id_list):
-            itemset = prefix + (i,)
-            results.append(
-                (
-                    itemset,
-                    int(kept_counts[pos]),
-                    int(ns[pos]),
-                    float(totals[pos]),
-                    float(totals_sq[pos]),
-                )
-            )
-            if can_extend:
-                rest = kept_ids[pos + 1 :]
-                if rest.size:
-                    nxt = rest[kept_codes[pos + 1 :] != kept_codes[pos]]
-                    if nxt.size:
-                        self._extend(
-                            itemset, kept_covers[pos], nxt,
-                            min_count, max_length, results,
-                        )
+            if can_extend and pos + 1 < len(id_list):
+                nxt = kept_ids[pos + 1 :][kept_codes[pos + 1 :] != kept_codes[pos]]
+                if nxt.size:
+                    self._extend(
+                        prefix + (i,), kept_covers[pos], nxt,
+                        min_count, max_length, blocks,
+                    )
             if top_level:
                 self.obs.progress("mine", root=i)
                 self.obs.checkpoint("mine")
@@ -433,14 +414,33 @@ class BitsetEngine:
         )
 
 
-def raw_to_mined(
-    raw: Iterable[tuple[tuple[int, ...], int, int, float, float]]
-) -> list[MinedItemset]:
-    """Materialize raw ``(ids, count, n, Σo, Σo²)`` tuples."""
-    return [
-        MinedItemset(frozenset(ids), OutcomeStats(c, n, t, t2))
-        for ids, c, n, t, t2 in raw
-    ]
+#: One DFS step's survivors: (prefix, kept ids, count, n, Σo, Σo²).
+Block = tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def columns_from_blocks(blocks: list[Block]) -> MinedColumns:
+    """Assemble DFS blocks into :class:`MinedColumns`, in DFS order.
+
+    Each block holds the survivors of one batched extension of a
+    prefix. The DFS visits prefixes in lexicographic id order, so
+    sorting the assembled id rows restores the emission order.
+    """
+    if not blocks:
+        return MinedColumns.empty()
+    sizes = np.array([len(b[1]) for b in blocks], dtype=np.int64)
+    depth = np.array([len(b[0]) for b in blocks], dtype=np.int64)
+    prefixes = pad_rows([b[0] for b in blocks], int(depth.max()) + 1)
+    ids = np.repeat(prefixes, sizes, axis=0)
+    ids[np.arange(len(ids)), np.repeat(depth, sizes)] = np.concatenate(
+        [b[1] for b in blocks]
+    )
+    count, n, total, total_sq = (
+        np.concatenate([b[k] for b in blocks]).astype(dtype, copy=False)
+        for k, dtype in (
+            (2, np.int64), (3, np.int64), (4, np.float64), (5, np.float64)
+        )
+    )
+    return MinedColumns(ids, count, n, total, total_sq).canonical()
 
 
 def mine_bitset(
@@ -448,7 +448,7 @@ def mine_bitset(
     min_support: float,
     max_length: int | None = None,
     engine: BitsetEngine | None = None,
-) -> list[MinedItemset]:
+) -> MinedColumns:
     """Mine all frequent itemsets with the packed-bitset engine.
 
     Drop-in backend beside Apriori/FP-Growth/Eclat: identical itemsets

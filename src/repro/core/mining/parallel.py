@@ -5,8 +5,9 @@ one per first-level item (the *prefix shards*). This module scans
 level 1 serially with the bitset engine, then farms the subtrees out to
 ``multiprocessing`` workers. Each worker holds the packed engine —
 shipped once per worker at pool start (and shared copy-on-write under
-the ``fork`` start method) — and returns raw result tuples, which are
-cheap to pickle.
+the ``fork`` start method) — and returns its shard as
+:class:`~repro.core.mining.transactions.MinedColumns`: a handful of
+numpy arrays, cheap to pickle.
 
 Shards are scheduled dynamically (``imap``, chunk size 1) so a few
 heavy prefixes don't serialize the pool, and results are reassembled in
@@ -25,8 +26,8 @@ import platform
 import time
 from queue import Empty
 
-from repro.core.mining.bitset import BitsetEngine, raw_to_mined
-from repro.core.mining.transactions import EncodedUniverse, MinedItemset
+from repro.core.mining.bitset import BitsetEngine
+from repro.core.mining.transactions import EncodedUniverse, MinedColumns
 from repro.obs.collector import NULL_OBS, AnyCollector, ObsCollector, resolve_obs
 from repro.obs.events import worker_event_queue
 
@@ -56,7 +57,7 @@ def _worker_env(pid: int) -> dict:
 
 
 def _mine_shard(task):
-    """Mine one prefix shard; returns ``(raw, counters, peaks, cpu_rows)``
+    """Mine one prefix shard; returns ``(mined, counters, peaks, cpu_rows)``
     (the last three ``None`` when not collected).
 
     When the parent collects metrics, the shard mines against a private
@@ -96,10 +97,10 @@ def _mine_shard(task):
             queue.put(("env", token, pid, _worker_env(pid)))
         queue.put(("hb", token, pid, t0, root))
     if not collect:
-        raw = engine.mine_subtree(root, tail, min_support, max_length)
+        mined = engine.mine_subtree(root, tail, min_support, max_length)
         if queue is not None:
             queue.put(("done", token, pid, t0, time.perf_counter(), root))
-        return raw, None, None, None
+        return mined, None, None, None
     shard_obs = ObsCollector(profile_memory=profile)
     if cpu_hz:
         shard_obs.enable_cpu_profiling(cpu_hz)
@@ -111,9 +112,9 @@ def _mine_shard(task):
             # The span scopes both profilers: the mem window and the
             # sampler lifetime (started at root open, joined at close).
             with shard_obs.span("mine.shard", root=root):
-                raw = engine.mine_subtree(root, tail, min_support, max_length)
+                mined = engine.mine_subtree(root, tail, min_support, max_length)
         else:
-            raw = engine.mine_subtree(root, tail, min_support, max_length)
+            mined = engine.mine_subtree(root, tail, min_support, max_length)
         if cpu_hz and shard_obs.cpu is not None:
             cpu_rows = shard_obs.cpu.rows()
     finally:
@@ -122,7 +123,7 @@ def _mine_shard(task):
         shard_obs.stop_cpu_profiling()
     if queue is not None:
         queue.put(("done", token, pid, t0, time.perf_counter(), root))
-    return raw, dict(shard_obs.counters), dict(shard_obs.mem_peaks), cpu_rows
+    return mined, dict(shard_obs.counters), dict(shard_obs.mem_peaks), cpu_rows
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -223,7 +224,7 @@ def mine_parallel(
     engine: BitsetEngine | None = None,
     obs: AnyCollector | None = None,
     pool: WorkerPool | None = None,
-) -> list[MinedItemset]:
+) -> MinedColumns:
     """Mine all frequent itemsets with sharded worker processes.
 
     Returns the same itemsets, statistics *and order* as the serial
@@ -315,16 +316,14 @@ def mine_parallel(
             engine.obs = prev_obs
             if queue is not None:
                 queue.close()
-    results: list[MinedItemset] = []
-    for raw, counters, peaks, cpu_rows in per_shard:
-        results.extend(raw_to_mined(raw))
+    for _mined, counters, peaks, cpu_rows in per_shard:
         if counters:
             obs.merge_counters(counters)
         if peaks:
             obs.merge_peaks(peaks)
         if cpu_rows:
             obs.merge_cpu_samples(cpu_rows)
-    return results
+    return MinedColumns.concat([mined for mined, *_ in per_shard])
 
 
 def _stream_shards(pool, queue, tasks, obs: AnyCollector, token) -> list:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -141,6 +141,200 @@ class MinedItemset:
         )
 
 
+def pad_rows(rows: Sequence[Sequence[int]], width: int = 1) -> np.ndarray:
+    """Id rows as an ``int32`` matrix, right-padded with ``-1``.
+
+    The matrix is at least ``width`` (and one) columns wide, so that an
+    all-empty set of rows still has a row shape to compare and sort.
+    """
+    width = max(width, 1, max(map(len, rows), default=0))
+    out = np.full((len(rows), width), -1, dtype=np.int32)
+    for k, row in enumerate(rows):
+        out[k, : len(row)] = row
+    return out
+
+
+def widen(ids: np.ndarray, width: int) -> np.ndarray:
+    """``ids`` right-padded with ``-1`` columns up to ``width``."""
+    if ids.shape[1] >= width:
+        return ids
+    pad = np.full((len(ids), width - ids.shape[1]), -1, dtype=ids.dtype)
+    return np.concatenate([ids, pad], axis=1)
+
+
+def lex_order(ids: np.ndarray) -> np.ndarray:
+    """Stable order sorting the rows of a padded id matrix like tuples.
+
+    Rows are ascending ids right-padded with ``-1``, so a prefix sorts
+    before its extensions, exactly as ``sorted(tuple(sorted(ids)))``.
+    """
+    return np.lexsort(ids.T[::-1])
+
+
+def lex_sorted(ids: np.ndarray) -> bool:
+    """True when the rows of a padded id matrix are in :func:`lex_order`."""
+    if len(ids) < 2:
+        return True
+    a, b = ids[:-1], ids[1:]
+    col = (a != b).argmax(axis=1)
+    rows = np.arange(len(col))
+    return not (a[rows, col] > b[rows, col]).any()
+
+
+def first_rows(ids: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row."""
+    order = lex_order(ids)
+    ranked = ids[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[new])
+
+
+class MinedColumns:
+    """Frequent itemsets as columns: the output of :func:`mine`.
+
+    ``ids`` is an ``(n, width)`` ``int32`` matrix holding each itemset's
+    universe ids in ascending order, right-padded with ``-1``; ``count``,
+    ``n``, ``total`` and ``total_sq`` are the :class:`OutcomeStats`
+    fields, one entry per itemset. Rows keep the backend's emission
+    order (the bitset DFS emits them in lexicographic id order).
+
+    The container is read-only and behaves as a sequence of
+    :class:`MinedItemset` — ``len``, iteration, indexing and ``==``
+    against lists — building each object only when it is asked for.
+    """
+
+    __slots__ = ("ids", "count", "n", "total", "total_sq")
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        count: np.ndarray,
+        n: np.ndarray,
+        total: np.ndarray,
+        total_sq: np.ndarray,
+    ):
+        self.ids = ids
+        self.count = count
+        self.n = n
+        self.total = total
+        self.total_sq = total_sq
+        for column in (ids, count, n, total, total_sq):
+            column.flags.writeable = False
+
+    @classmethod
+    def empty(cls) -> "MinedColumns":
+        return cls(
+            pad_rows([]), np.zeros(0, np.int64), np.zeros(0, np.int64),
+            np.zeros(0, np.float64), np.zeros(0, np.float64),
+        )
+
+    @classmethod
+    def from_itemsets(cls, mined: Iterable[MinedItemset]) -> "MinedColumns":
+        """Columns of a list of :class:`MinedItemset`, in list order."""
+        if isinstance(mined, MinedColumns):
+            return mined
+        mined = list(mined)
+        stats = [m.stats for m in mined]
+        return cls(
+            pad_rows([sorted(m.ids) for m in mined]),
+            np.array([s.count for s in stats], dtype=np.int64),
+            np.array([s.n for s in stats], dtype=np.int64),
+            np.array([s.total for s in stats], dtype=np.float64),
+            np.array([s.total_sq for s in stats], dtype=np.float64),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["MinedColumns"]) -> "MinedColumns":
+        """The rows of ``parts`` one after another."""
+        if not parts:
+            return cls.empty()
+        width = max(p.ids.shape[1] for p in parts)
+        return cls(
+            np.concatenate([widen(p.ids, width) for p in parts]),
+            *(
+                np.concatenate([getattr(p, f) for p in parts])
+                for f in ("count", "n", "total", "total_sq")
+            ),
+        )
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Number of items of each itemset."""
+        return np.count_nonzero(self.ids >= 0, axis=1)
+
+    def take(self, index: np.ndarray) -> "MinedColumns":
+        """The rows selected by an index array or boolean mask."""
+        return MinedColumns(
+            self.ids[index], self.count[index], self.n[index],
+            self.total[index], self.total_sq[index],
+        )
+
+    def canonical(self) -> "MinedColumns":
+        """The rows in :func:`lex_order` (``self`` when already sorted)."""
+        if lex_sorted(self.ids):
+            return self
+        return self.take(lex_order(self.ids))
+
+    def remapped(self, ids: np.ndarray) -> "MinedColumns":
+        """Rows with each id ``j`` replaced by ``ids[j]``.
+
+        ``ids`` must be ascending, so that rows stay sorted; polarity
+        pruning maps sub-universe ids back to the full universe.
+        """
+        mapped = np.where(self.ids >= 0, ids[self.ids], -1).astype(np.int32)
+        return MinedColumns(mapped, self.count, self.n, self.total, self.total_sq)
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def __getitem__(self, i: int | slice) -> "MinedItemset | MinedColumns":
+        if isinstance(i, slice):
+            return self.take(i)
+        row = self.ids[i]
+        return MinedItemset(
+            frozenset(row[row >= 0].tolist()),
+            OutcomeStats(
+                int(self.count[i]), int(self.n[i]),
+                float(self.total[i]), float(self.total_sq[i]),
+            ),
+        )
+
+    def __iter__(self) -> Iterator[MinedItemset]:
+        columns = zip(
+            self.ids.tolist(), self.count.tolist(), self.n.tolist(),
+            self.total.tolist(), self.total_sq.tolist(),
+        )
+        for row, count, n, total, total_sq in columns:
+            yield MinedItemset(
+                frozenset(j for j in row if j >= 0),
+                OutcomeStats(count, n, total, total_sq),
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MinedColumns):
+            width = max(self.ids.shape[1], other.ids.shape[1])
+            return len(self) == len(other) and all(
+                np.array_equal(a, b)
+                for a, b in (
+                    (widen(self.ids, width), widen(other.ids, width)),
+                    (self.count, other.count), (self.n, other.n),
+                    (self.total, other.total),
+                    (self.total_sq, other.total_sq),
+                )
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"MinedColumns(itemsets={len(self)}, width={self.ids.shape[1]})"
+
+
 #: Names accepted by :func:`mine`'s ``backend`` parameter.
 BACKENDS = ("fpgrowth", "apriori", "eclat", "bitset")
 
@@ -154,8 +348,11 @@ def mine(
     engine=None,
     obs: AnyCollector | None = None,
     pool=None,
-) -> list[MinedItemset]:
+) -> MinedColumns:
     """Mine all frequent itemsets with the chosen backend.
+
+    Every backend's output comes back as one :class:`MinedColumns`;
+    the list-producing backends are converted here, once.
 
     Parameters
     ----------
@@ -182,7 +379,7 @@ def mine(
         registry receives the per-backend mining counters, the cover-
         cache deltas of ``engine``, and the backend-independent
         ``mining.frequent_itemsets`` / ``mining.frequent.level_N``
-        totals (counted here from the mined list, so they are
+        totals (one ``np.bincount`` over the itemset lengths, so they are
         identical for every backend and every ``n_jobs``).
     pool:
         Optional persistent :class:`repro.core.mining.parallel.WorkerPool`
@@ -237,6 +434,7 @@ def mine(
     finally:
         if restore_engine_obs:
             engine.obs = prev_engine_obs
+    mined = MinedColumns.from_itemsets(mined)
     if obs.enabled:
         if engine is not None:
             # mine_parallel clears the engine cache before shipping it to
@@ -250,11 +448,8 @@ def mine(
             if dm:
                 obs.count("cover_cache.misses", dm)
         obs.count("mining.frequent_itemsets", len(mined))
-        levels: dict[int, int] = {}
-        for m in mined:
-            k = len(m.ids)
-            levels[k] = levels.get(k, 0) + 1
-        for k in sorted(levels):
-            obs.count(f"mining.frequent.level_{k}", levels[k])
+        for k, n_k in enumerate(np.bincount(mined.lengths).tolist()):
+            if n_k:
+                obs.count(f"mining.frequent.level_{k}", n_k)
         span.set(itemsets=len(mined))
     return mined

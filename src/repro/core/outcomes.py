@@ -358,3 +358,26 @@ def array_outcome(
         return values
 
     return Outcome(name, fn, boolean=boolean)
+
+
+def frozen_outcome(outcome: Outcome, table: Table) -> Outcome:
+    """Evaluate ``outcome`` on ``table`` once and check it can be explored.
+
+    The explorers' and the session's front door. An outcome with no
+    defined value, or with a ±inf value, has no finite mean to diverge
+    from, so it is rejected here with a :class:`ValueError`, before any
+    discretization or mining. The returned :class:`Outcome` wraps the
+    evaluated array, so later steps do not evaluate it again.
+    """
+    values = outcome.values(table)
+    if np.isnan(values).all():
+        raise ValueError(
+            f"outcome {outcome.name!r} has no defined value on the "
+            f"{table.n_rows} rows of the table"
+        )
+    if np.isinf(values).any():
+        raise ValueError(
+            f"outcome {outcome.name!r} has {int(np.isinf(values).sum())} "
+            "infinite values; a subgroup mean must be finite"
+        )
+    return array_outcome(values, name=outcome.name, boolean=outcome.boolean)

@@ -16,8 +16,15 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.items import IntervalItem
-from repro.core.mining.transactions import EncodedUniverse, MinedItemset, mine
+from repro.core.mining.transactions import (
+    EncodedUniverse,
+    MinedColumns,
+    first_rows,
+    mine,
+)
 from repro.obs.collector import AnyCollector, resolve_obs
 
 
@@ -70,12 +77,13 @@ def mine_with_polarity(
     n_jobs: int = 1,
     engine=None,
     obs: AnyCollector | None = None,
-) -> list[MinedItemset]:
+) -> MinedColumns:
     """Mine the positive and negative polarity subspaces and merge.
 
     Each run uses the polarized items of one sign plus all neutral
-    items; results are deduplicated (itemsets of only neutral items
-    appear in both runs). ``backend``, ``n_jobs`` and ``engine`` are
+    items; results are deduplicated on their id rows, keeping the
+    first occurrence (itemsets of only neutral items appear in both
+    runs). ``backend``, ``n_jobs`` and ``engine`` are
     forwarded to :func:`repro.core.mining.transactions.mine`; with an
     engine (or the bitset backend, or parallel mining) both subspace
     runs slice one set of packed covers instead of re-packing.
@@ -99,25 +107,24 @@ def mine_with_polarity(
 
         engine = BitsetEngine(universe, obs=obs)
 
-    seen: dict[frozenset[int], MinedItemset] = {}
+    merged = MinedColumns.empty()
     for sign, ids in (("positive", positive_ids), ("negative", negative_ids)):
         if not ids:
             continue
         with obs.span(f"polarity.{sign}", items=len(ids)) as sub_span:
             sub = universe.restricted(ids)
             sub_engine = engine.restricted(ids) if engine is not None else None
-            back = {sub.index[universe.items[i]]: i for i in ids}
-            merged = 0
-            for found in mine(
+            found = mine(
                 sub, min_support, backend, max_length, n_jobs=n_jobs,
                 engine=sub_engine, obs=obs,
-            ):
-                original = frozenset(back[j] for j in found.ids)
-                if original in seen:
-                    merged += 1
-                else:
-                    seen[original] = MinedItemset(original, found.stats)
+            )
+            # Sub-universe ids map back in order: ``ids`` is ascending.
+            both = MinedColumns.concat(
+                [merged, found.remapped(np.asarray(ids, dtype=np.int32))]
+            )
+            merged = both.take(first_rows(both.ids))
             if obs.enabled:
-                obs.count("polarity.duplicates_merged", merged)
-                sub_span.set(duplicates_merged=merged)
-    return list(seen.values())
+                duplicates = len(both) - len(merged)
+                obs.count("polarity.duplicates_merged", duplicates)
+                sub_span.set(duplicates_merged=duplicates)
+    return merged

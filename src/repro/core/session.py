@@ -15,7 +15,7 @@ encoded universe       ``tree_support``, ``criterion``
 bitset covers/engine   ``tree_support``, ``criterion``
 mined counters         + ``backend``/``n_jobs``, ``max_length``,
                        ``polarity``; a ``min_support`` *decrease*
-                       re-mines, an increase filters the cached list
+                       re-mines, an increase masks the cached columns
 ranking / top-k        nothing — re-ranked from cached counters
 =====================  ==============================================
 
@@ -30,8 +30,9 @@ same order (both paths canonicalize through
 Two reuse mechanics deserve a note:
 
 * *Support derivation.* Every backend keeps an itemset frequent iff
-  ``stats.count >= ceil(min_support · n_rows)``, so a list mined at a
-  lower support filters **exactly** to any higher support. The cached
+  ``stats.count >= ceil(min_support · n_rows)``, so columns mined at a
+  lower support filter **exactly** to any higher support (a boolean
+  mask over the cached count column). The cached
   statistics must also be what a fresh mine would produce: true for
   the cover-based backends (``apriori``/``eclat``/``bitset`` compute
   stats from the full cover, independent of the threshold) and for
@@ -54,19 +55,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.config import ExploreConfig, resolve_config
 from repro.core.discretize.tree import AttributeTree, TreeDiscretizer
-from repro.core.explorer import results_from_mined
+from repro.core.explorer import mine_and_materialize
 from repro.core.hierarchy import HierarchySet, ItemHierarchy
 from repro.core.mining.bitset import BitsetEngine
 from repro.core.mining.generalized import generalized_universe
 from repro.core.mining.parallel import WorkerPool, resolve_n_jobs
-from repro.core.mining.transactions import EncodedUniverse, MinedItemset, mine
-from repro.core.outcomes import Outcome, array_outcome, coerce_outcome
+from repro.core.mining.transactions import EncodedUniverse, MinedColumns, mine
+from repro.core.outcomes import Outcome, coerce_outcome, frozen_outcome
 from repro.core.polarity import mine_with_polarity
 from repro.core.results import ResultSet
 from repro.obs.bundle import bundle_scope
@@ -121,6 +123,8 @@ class ExploreSession:
     outcome:
         Any form :func:`~repro.core.outcomes.coerce_outcome` accepts.
         Evaluated once; the values array is a session-lifetime artifact.
+        An outcome with no defined value or an infinite one raises
+        :class:`ValueError` here.
     hierarchies:
         Predefined hierarchies (categorical taxonomies, pre-built
         trees). Attributes covered here are never re-discretized.
@@ -180,25 +184,23 @@ class ExploreSession:
             if categorical_attributes is not None else None
         )
 
-        # Outcome values are parameter-independent: evaluate once and
-        # freeze them behind an equivalent Outcome so every downstream
-        # consumer (discretizer, universe encoder) sees the same array.
-        values = self.outcome.values(table)
-        self._outcome = array_outcome(
-            values, name=self.outcome.name, boolean=self.outcome.boolean
-        )
+        # Outcome values are parameter-independent: evaluate once,
+        # reject degenerate ones, and freeze them behind an equivalent
+        # Outcome so every downstream consumer (discretizer, universe
+        # encoder) sees the same array.
+        self._outcome = frozen_outcome(self.outcome, table)
 
         # The caches. Keys:
         #   trees      (attribute, tree_support, criterion)
         #   universes  (tree_support, criterion) -> (gamma, universe)
         #   engines    (tree_support, criterion)
         #   mined      (ukey, backend_eff, max_length, polarity)
-        #              -> (mined_at_support, mined_list)
+        #              -> (mined_at_support, MinedColumns)
         #   pools      (ukey, n_jobs)
         self._trees: dict[tuple, AttributeTree] = {}
         self._universes: dict[tuple, tuple[HierarchySet, EncodedUniverse]] = {}
         self._engines: dict[tuple, BitsetEngine] = {}
-        self._mined: dict[tuple, tuple[float, list[MinedItemset]]] = {}
+        self._mined: dict[tuple, tuple[float, MinedColumns]] = {}
         self._pools: dict[tuple, WorkerPool] = {}
 
     # -- artifact accessors ----------------------------------------------
@@ -416,11 +418,12 @@ class ExploreSession:
     def _explore(self, cfg: ExploreConfig, obs: AnyCollector) -> ResultSet:
         ukey = (float(cfg.tree_support), cfg.criterion)
         _gamma, universe = self._universe_entry(ukey, obs)
-        start = time.perf_counter()
-        with obs.span("mine", polarity=cfg.polarity):
-            mined = self._mined_for(cfg, ukey, universe, obs)
-        elapsed = time.perf_counter() - start
-        return results_from_mined(universe, mined, elapsed, obs=obs)
+        return mine_and_materialize(
+            universe,
+            partial(self._mined_for, cfg, ukey, universe, obs),
+            cfg.polarity,
+            obs,
+        )
 
     def _mined_for(
         self,
@@ -428,7 +431,7 @@ class ExploreSession:
         ukey: tuple,
         universe: EncodedUniverse,
         obs: AnyCollector,
-    ) -> list[MinedItemset]:
+    ) -> MinedColumns:
         n_jobs = resolve_n_jobs(cfg.n_jobs)
         # Any parallel mine routes through the bitset shard workers and
         # returns the serial bitset sequence, whatever backend was
@@ -445,11 +448,11 @@ class ExploreSession:
             if exact or (derivable and mined_at < cfg.min_support):
                 obs.count("session.mined.hits")
                 if exact:
-                    return list(mined)
+                    return mined
                 min_count = max(
                     1, math.ceil(cfg.min_support * universe.n_rows)
                 )
-                return [m for m in mined if m.stats.count >= min_count]
+                return mined.take(mined.count >= min_count)
         obs.count("session.mined.misses")
         mined = self._mine(cfg, ukey, universe, n_jobs, obs)
         if cached is None or cfg.min_support < cached[0]:
@@ -463,7 +466,7 @@ class ExploreSession:
         universe: EncodedUniverse,
         n_jobs: int,
         obs: AnyCollector,
-    ) -> list[MinedItemset]:
+    ) -> MinedColumns:
         # Mirror the cold HDivExplorer paths exactly: serial
         # fpgrowth/apriori/eclat run engine-less, the bitset backend
         # and the parallel fan-out share the cached engine; the

@@ -195,11 +195,9 @@ class TestBitsetMining:
         engine = BitsetEngine(u)
         s = 0.05
         full = engine.mine(s)
-        from repro.core.mining.bitset import raw_to_mined
-
         stitched = []
         for root, tail in prefix_shards(engine, s):
-            stitched.extend(raw_to_mined(engine.mine_subtree(root, tail, s, None)))
+            stitched.extend(engine.mine_subtree(root, tail, s, None))
         assert [(m.ids, m.stats) for m in stitched] == [
             (m.ids, m.stats) for m in full
         ]

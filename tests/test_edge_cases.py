@@ -11,16 +11,42 @@ from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem, Itemset
 from repro.core.mining import EncodedUniverse, mine
 from repro.core.outcomes import array_outcome
+from repro.core.session import ExploreSession
 from repro.tabular import ColumnKind, Schema, Table
 
 
 class TestDegenerateData:
-    def test_all_nan_outcome_explores_without_divergence(self, rng):
-        table = Table({"x": rng.uniform(0, 1, 100)})
+    def test_all_nan_outcome_is_rejected(self, rng):
+        # No defined value means no f(D) to diverge from: every front
+        # door refuses it before discretizing or mining anything.
+        table = Table({"x": rng.uniform(0, 1, 100), "c": ["a", "b"] * 50})
         outcomes = np.full(100, np.nan)
+        with pytest.raises(ValueError, match="no defined value"):
+            HDivExplorer(0.2, tree_support=0.3).explore(table, outcomes)
+        with pytest.raises(ValueError, match="no defined value"):
+            DivExplorer(0.2).explore(table, outcomes)
+        with pytest.raises(ValueError, match="no defined value"):
+            ExploreSession(table, outcomes)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_outcome_is_rejected(self, rng, bad):
+        table = Table({"x": rng.uniform(0, 1, 100), "c": ["a", "b"] * 50})
+        outcomes = rng.normal(size=100)
+        outcomes[7] = bad
+        with pytest.raises(ValueError, match="infinite"):
+            HDivExplorer(0.2, tree_support=0.3).explore(table, outcomes)
+        with pytest.raises(ValueError, match="infinite"):
+            DivExplorer(0.2).explore(table, outcomes)
+        with pytest.raises(ValueError, match="infinite"):
+            ExploreSession(table, outcomes)
+
+    def test_partly_nan_outcome_still_explores(self, rng):
+        table = Table({"x": rng.uniform(0, 1, 100)})
+        outcomes = np.where(np.arange(100) < 50, np.nan, 1.0)
+        outcomes[-10:] = 0.0
         result = HDivExplorer(0.2, tree_support=0.3).explore(table, outcomes)
-        assert all(math.isnan(r.divergence) for r in result)
-        assert result.max_divergence() == 0.0  # NaNs never rank
+        assert len(result) > 0
+        assert not math.isnan(result.global_mean)
 
     def test_constant_outcome_zero_divergence(self, rng):
         table = Table({"x": rng.uniform(0, 1, 100)})

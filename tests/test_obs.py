@@ -274,9 +274,14 @@ class TestTracingDeterminism:
             ExploreConfig(min_support=0.05, backend="bitset", obs=obs)
         ).explore(table, errors)
         names = [r.name for r in obs.roots]
-        assert names == ["discretize", "encode", "mine"]
-        mine_span = obs.roots[-1]
+        assert names == ["discretize", "encode", "mine", "materialize"]
+        mine_span, materialize_span = obs.roots[-2:]
         assert [c.name for c in mine_span.children] == ["bitset"]
+        assert materialize_span.attrs["subgroups"] == len(result)
+        # The paper-facing time covers mining plus materialization.
+        assert result.elapsed_seconds >= (
+            mine_span.elapsed_seconds + materialize_span.elapsed_seconds
+        )
         assert obs.counter("discretize.splits_tried") > 0
         summary = result.summary()
         assert "obs" in summary
