@@ -3,7 +3,7 @@
 Beyond the paper's table this bench exercises the full telemetry
 pipeline: the sweep runs under an :class:`repro.obs.ObsCollector`
 (``figure2.<dataset>`` spans with the explorers' ``discretize`` /
-``mine`` / per-backend spans nested beneath), a drilldown phase
+``mine`` / ``bitset`` spans nested beneath), a drilldown phase
 generates genuine cover-cache traffic, and a serial-vs-``n_jobs=4``
 parity phase asserts the merged worker counters and the result
 ranking are identical. The whole registry lands in
@@ -32,7 +32,7 @@ def _hierarchical_run(ctx, n_jobs):
     """
     obs = ObsCollector(events=EventStream())
     config = ExploreConfig(
-        min_support=PARITY_SUPPORT, backend="bitset", n_jobs=n_jobs, obs=obs,
+        min_support=PARITY_SUPPORT, n_jobs=n_jobs, obs=obs,
     )
     result = HDivExplorer(config).explore(
         ctx.features, ctx.outcomes, hierarchies=ctx.dataset.hierarchies,
@@ -60,9 +60,7 @@ def _drilldown(obs, ctx):
     )
     # reprolint: disable-next-line=RPL015 (drilldown probes the engine's LRU directly)
     engine = BitsetEngine(universe, obs=obs)
-    mined = mine(
-        universe, PARITY_SUPPORT, "bitset", engine=engine, obs=obs
-    )
+    mined = mine(universe, PARITY_SUPPORT, engine=engine, obs=obs)
     top = sorted(mined, key=lambda m: -abs(m.stats.mean))[:25]
     with obs.span("drilldown", itemsets=len(top)) as span:
         hits0, misses0 = engine.cache_hits, engine.cache_misses
@@ -104,7 +102,7 @@ def test_figure2(benchmark, emit, sweep_contexts):
 
     # -- telemetry: nested spans and nonzero core counters ---------------
     span_names = {s.name for root in obs.roots for s in root.walk()}
-    for expected in ("figure2.compas", "discretize", "mine", "fpgrowth"):
+    for expected in ("figure2.compas", "discretize", "mine", "bitset"):
         assert expected in span_names, expected
     assert obs.counter("mining.candidates") > 0
     assert obs.counter("mining.support_pruned") > 0

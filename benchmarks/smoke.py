@@ -1,11 +1,12 @@
-"""Backend smoke check — fast agreement gate for CI.
+"""Mining smoke check — fast agreement gate for CI.
 
-Runs the hierarchical exploration of the synthetic-peak dataset once
-per mining backend (plus the 2-way parallel bitset path) and fails if
+Runs the hierarchical exploration of the synthetic-peak dataset on the
+bitset engine serially and with ``n_jobs=2``, mines the same universe
+with the Apriori reference enumerator (the test oracle), and fails if
 
 * any single run takes longer than ``TIME_BUDGET`` seconds, or
-* any backend's ResultSet diverges from the fpgrowth reference
-  (same subgroups, same counts, divergences equal at 9 decimals), or
+* any run's ResultSet diverges from the serial reference (same
+  subgroups, same counts, divergences equal at 9 decimals), or
 * reprolint reports any non-baselined finding over ``src`` +
   ``benchmarks`` (the determinism/purity static gate).
 
@@ -15,9 +16,10 @@ enabling a collector must not change the ResultSet, and instrumented
 runs must stay within ``MAX_OBS_OVERHEAD`` of the disabled-mode wall
 time (best-of-3, with an absolute epsilon for timer noise).
 
-With ``--perf-gate`` it times the same workload once (plus a reprolint
-pass as its own ``lint`` phase), compares the phase wall times against
-the perfdb history baseline (``benchmark_results/history/``, median of
+With ``--perf-gate`` it times the same workload once on the default
+path, the serial bitset engine (plus a reprolint pass as its own
+``lint`` phase), compares the phase wall times against the perfdb
+history baseline (``benchmark_results/history/``, median of
 recent matching records — see ``repro.obs.perfdb``), appends the fresh
 run to the history, and exits non-zero on any regression. With no or
 too-little history the gate records and passes.
@@ -58,7 +60,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.mining import BACKENDS
+from repro.core.explorer import results_from_mined
+from repro.core.mining import mine_apriori
 from repro.devtools import Baseline, LintRunner
 from repro.devtools.suppressions import BASELINE_FILENAME
 from repro.experiments.harness import load_context, run_hierarchical
@@ -86,7 +89,6 @@ MAX_CPUPROF_OVERHEAD = 0.10
 #: GatePolicy phase gate and collect tens of samples at 97 Hz.
 INJECTED_REGRESSION_SECONDS = 0.4
 
-VARIANTS = [(backend, 1) for backend in BACKENDS] + [("bitset", 2)]
 
 
 def signature(result):
@@ -100,12 +102,23 @@ def signature(result):
 def main() -> int:
     ctx = load_context("synthetic-peak")
     ctx.leaf_items(0.1, "divergence")  # warm the discretization cache
+    universe = ctx.session().universe(0.1, "divergence")
+
+    def oracle():
+        # reprolint: disable-next-line=RPL015 (the reference enumerator is what this gate compares against)
+        mined = mine_apriori(universe, SUPPORT)
+        return results_from_mined(universe, mined, 0.0)
+
+    variants = [
+        ("bitset", lambda: run_hierarchical(ctx, SUPPORT)),
+        ("bitset (n_jobs=2)", lambda: run_hierarchical(ctx, SUPPORT, n_jobs=2)),
+        ("apriori oracle", oracle),
+    ]
     reference = None
     failures = []
-    for backend, n_jobs in VARIANTS:
-        label = backend if n_jobs == 1 else f"{backend} (n_jobs={n_jobs})"
+    for label, run in variants:
         start = time.perf_counter()
-        result = run_hierarchical(ctx, SUPPORT, backend=backend, n_jobs=n_jobs)
+        result = run()
         elapsed = time.perf_counter() - start
         sig = signature(result)
         status = "ok"
@@ -115,7 +128,7 @@ def main() -> int:
         if reference is None:
             reference = sig
         elif sig != reference:
-            status = "DIVERGED from fpgrowth"
+            status = "DIVERGED from serial bitset"
             failures.append(label)
         print(
             f"{label:20s} {len(sig):5d} subgroups  {elapsed:6.2f}s  {status}"
@@ -139,7 +152,7 @@ def main() -> int:
     if failures:
         print(f"smoke FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
-    print("smoke passed: all backends agree")
+    print("smoke passed: serial, parallel and oracle agree")
     return 0
 
 

@@ -44,8 +44,7 @@ class ErrorTree:
     config:
         An :class:`~repro.core.config.ExploreConfig`; ErrorTree uses
         its ``min_support`` and ``criterion``. Keyword arguments
-        override it; the historical ``support=`` spelling still works
-        with a :class:`DeprecationWarning`.
+        override it.
     min_support:
         Minimum fraction of instances per leaf.
     max_depth:

@@ -62,9 +62,7 @@ class SliceFinder:
     config:
         An :class:`~repro.core.config.ExploreConfig`; Slice Finder uses
         its ``max_length`` (the original applies no support control, so
-        ``min_support`` is ignored). Keyword arguments override it; the
-        historical ``max_level=`` spelling still works with a
-        :class:`DeprecationWarning`.
+        ``min_support`` is ignored). Keyword arguments override it.
     effect_size_threshold:
         Minimum effect size for a slice to count as problematic
         (the original's default is 0.4).

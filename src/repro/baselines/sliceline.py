@@ -50,8 +50,7 @@ class SliceLine:
     config:
         An :class:`~repro.core.config.ExploreConfig`; SliceLine uses
         its ``min_support`` and ``max_length``. Keyword arguments
-        override it; the historical ``max_level=`` spelling still works
-        with a :class:`DeprecationWarning`.
+        override it.
     alpha:
         Weight of the average-error term versus the size term,
         in (0, 1].

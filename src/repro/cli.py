@@ -35,7 +35,6 @@ import math
 import sys
 
 from repro.core.config import ExploreConfig
-from repro.core.mining.transactions import BACKENDS
 from repro.obs.events import RunCancelled
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
@@ -272,7 +271,6 @@ def _explore_config(args, obs=None) -> ExploreConfig:
             "min_support": args.support,
             "tree_support": args.tree_support,
             "criterion": args.criterion,
-            "backend": getattr(args, "backend", "fpgrowth"),
             "polarity": getattr(args, "polarity", False),
             "max_length": getattr(args, "max_length", None),
             "n_jobs": getattr(args, "n_jobs", 1),
@@ -464,10 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--criterion",
             choices=["divergence", "entropy"],
             default="divergence",
-        )
-        p.add_argument(
-            "--backend", choices=list(BACKENDS), default="fpgrowth",
-            help="mining backend (all return identical subgroups)",
         )
         p.add_argument(
             "--n-jobs", type=int, default=1, dest="n_jobs",

@@ -2,44 +2,34 @@
 
 One frozen dataclass, :class:`ExploreConfig`, captures every knob the
 explorers and baselines share — support thresholds, tree criterion,
-mining backend, polarity pruning, itemset length cap and parallelism —
-so a single object can drive :class:`~repro.core.hexplorer.HDivExplorer`,
+polarity pruning, itemset length cap and parallelism — so a single
+object can drive :class:`~repro.core.hexplorer.HDivExplorer`,
 :class:`~repro.core.explorer.DivExplorer` and the baseline finders
 interchangeably::
 
-    cfg = ExploreConfig(min_support=0.05, tree_support=0.1,
-                        backend="bitset", n_jobs=4)
+    cfg = ExploreConfig(min_support=0.05, tree_support=0.1, n_jobs=4)
     HDivExplorer(cfg).explore(table, outcome)
     DivExplorer(cfg).explore(table, outcome, items)
 
-Constructors still accept the historical keyword arguments; canonical
-field names (``min_support=...``) stay silent, while renamed legacy
-spellings (``support=``, ``st=``, ``max_level=``) keep working but emit
-a :class:`DeprecationWarning`.
+Constructors also accept the fields as keyword arguments. The retired
+``backend=`` option is still accepted everywhere a config is built,
+and ignored with a :class:`DeprecationWarning`
+(:func:`~repro.core.mining.transactions.ignore_backend`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from repro.core.mining.transactions import BACKENDS
+from repro.core.mining.transactions import ignore_backend
 from repro.obs.collector import NULL_OBS, AnyCollector
 
 #: Tree-split criteria accepted by the discretizers.
 CRITERIA = ("divergence", "entropy")
-
-#: Renamed legacy keyword spellings still accepted by the explorer and
-#: baseline constructors (with a DeprecationWarning), mapped to the
-#: canonical :class:`ExploreConfig` field they set.
-LEGACY_ALIASES = {
-    "support": "min_support",
-    "st": "tree_support",
-    "max_level": "max_length",
-}
 
 
 @dataclass(frozen=True)
@@ -56,9 +46,6 @@ class ExploreConfig:
     criterion:
         Tree split gain: ``"divergence"`` (any outcome) or
         ``"entropy"`` (boolean outcomes only).
-    backend:
-        Mining backend; one of
-        :data:`~repro.core.mining.transactions.BACKENDS`.
     polarity:
         Enable polarity pruning (Section V-C of the paper).
     max_length:
@@ -123,7 +110,6 @@ class ExploreConfig:
     min_support: float = 0.05
     tree_support: float = 0.1
     criterion: str = "divergence"
-    backend: str = "fpgrowth"
     polarity: bool = False
     max_length: int | None = None
     n_jobs: int = 1
@@ -141,8 +127,6 @@ class ExploreConfig:
             raise ValueError("tree_support must be in (0, 1]")
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown split criterion {self.criterion!r}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown mining backend {self.backend!r}")
         if self.max_length is not None and self.max_length < 1:
             raise ValueError("max_length must be positive")
         if self.obs is None:
@@ -214,8 +198,12 @@ class ExploreConfig:
         the round-tripped fingerprint would lie. The observability
         fields (``obs``, ``profile_memory``, ``deadline_s``,
         ``bundle_dir``, ``profile_cpu``, ``sample_hz``) are not part
-        of the serialized form and are supplied separately.
+        of the serialized form and are supplied separately. A stored
+        ``backend`` key (from before the option was retired) is
+        accepted and ignored, like ``backend=`` on the constructor.
         """
+        data = dict(data)
+        ignore_backend(data.pop("backend", None), "ExploreConfig.from_dict")
         unknown = sorted(set(data) - _SERIALIZED_FIELDS)
         if unknown:
             raise ValueError(
@@ -255,6 +243,22 @@ class ExploreConfig:
         return config_fingerprint(data)
 
 
+def _accept_backend(init: Callable[..., None]) -> Callable[..., None]:
+    """Wrap the generated ``__init__`` to accept the retired ``backend=``."""
+
+    @functools.wraps(init)
+    def __init__(
+        self: ExploreConfig, *args: object, backend: str | None = None,
+        **kwargs: object,
+    ) -> None:
+        ignore_backend(backend, "ExploreConfig")
+        init(self, *args, **kwargs)
+
+    return __init__
+
+
+ExploreConfig.__init__ = _accept_backend(ExploreConfig.__init__)  # type: ignore[method-assign]
+
 _FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(ExploreConfig))
 
 #: The fields that appear in ``to_dict()`` / ``from_dict()`` — every
@@ -273,26 +277,17 @@ def resolve_config(
 ) -> ExploreConfig:
     """Build the effective :class:`ExploreConfig` for a constructor.
 
-    Pops canonical field names and deprecated legacy aliases out of
+    Pops the field names (and the retired ``backend``) out of
     ``kwargs`` (in place — whatever remains is the caller's own
     parameters to interpret). Precedence: per-class ``defaults`` <
-    ``config`` < explicit keyword arguments, with canonical spellings
-    beating their legacy aliases.
+    ``config`` < explicit keyword arguments.
 
     ``config`` may also be a bare number, kept for the historical
     ``Explorer(0.05, ...)`` positional form: it is read as
     ``min_support``.
     """
+    ignore_backend(kwargs.pop("backend", None), owner)
     overrides: dict = {}
-    for legacy, canonical in LEGACY_ALIASES.items():
-        if legacy in kwargs:
-            warnings.warn(
-                f"{owner}: keyword {legacy!r} is deprecated; use "
-                f"{canonical!r} or pass an ExploreConfig",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            overrides[canonical] = kwargs.pop(legacy)
     for name in _FIELD_NAMES:
         if name in kwargs:
             overrides[name] = kwargs.pop(name)

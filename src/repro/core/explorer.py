@@ -38,7 +38,7 @@ def results_from_mined(
     """Convert mined id-itemsets into a ranked :class:`ResultSet`.
 
     The results are put in canonical order (sorted id tuples), which
-    makes the ResultSet independent of the backend's emission order and
+    makes the ResultSet independent of the miner's emission order and
     stable under support filtering — a warm `ExploreSession` replay and
     a cold run produce bit-identical sets, in the same order. Statistics
     are computed as columns; no per-subgroup object is built.
@@ -80,10 +80,8 @@ class DivExplorer:
         An :class:`~repro.core.config.ExploreConfig` carrying the
         shared exploration knobs, or a bare number read as
         ``min_support`` (the historical positional form). Individual
-        keyword arguments (``min_support=``, ``backend=``,
-        ``max_length=``, ``polarity=``, ``n_jobs=``) override it;
-        renamed legacy spellings (``support=``, ``max_level=``) still
-        work with a :class:`DeprecationWarning`.
+        keyword arguments (``min_support=``, ``max_length=``,
+        ``polarity=``, ``n_jobs=``) override it.
     include_missing_items:
         Add ``A = ⊥`` items for attributes with missing values (not
         part of the shared config).
@@ -104,7 +102,6 @@ class DivExplorer:
             )
         self.config = cfg
         self.min_support = cfg.min_support
-        self.backend = cfg.backend
         self.max_length = cfg.max_length
         self.polarity = cfg.polarity
         self.n_jobs = cfg.n_jobs
@@ -165,7 +162,7 @@ class DivExplorer:
         The wall time of mining plus result materialization lands on
         ``ResultSet.elapsed_seconds`` whether or not observability is
         on; with an enabled collector they run inside ``mine`` (with
-        the per-backend span nested under it) and ``materialize``
+        the ``bitset`` span nested under it) and ``materialize``
         spans, and the collector travels on the returned
         :class:`ResultSet`.
         """
@@ -177,8 +174,8 @@ class DivExplorer:
         return mine_and_materialize(
             universe,
             partial(
-                mine_fn, universe, self.min_support, self.backend,
-                self.max_length, n_jobs=self.n_jobs, obs=obs,
+                mine_fn, universe, self.min_support,
+                max_length=self.max_length, n_jobs=self.n_jobs, obs=obs,
             ),
             self.polarity,
             obs,

@@ -40,11 +40,9 @@ class HDivExplorer:
     config:
         An :class:`~repro.core.config.ExploreConfig` carrying the
         shared exploration knobs (``min_support``, ``tree_support``,
-        ``criterion``, ``backend``, ``polarity``, ``max_length``,
-        ``n_jobs``), or a bare number read as ``min_support`` (the
-        historical positional form). Individual keyword arguments
-        override it; renamed legacy spellings (``support=``, ``st=``,
-        ``max_level=``) still work with a :class:`DeprecationWarning`.
+        ``criterion``, ``polarity``, ``max_length``, ``n_jobs``), or a
+        bare number read as ``min_support`` (the historical positional
+        form). Individual keyword arguments override it.
     max_candidates:
         Candidate-threshold cap per tree node (see
         :class:`TreeDiscretizer`).
@@ -83,7 +81,6 @@ class HDivExplorer:
         self.min_support = cfg.min_support
         self.tree_support = cfg.tree_support
         self.criterion = cfg.criterion
-        self.backend = cfg.backend
         self.polarity = cfg.polarity
         self.max_length = cfg.max_length
         self.n_jobs = cfg.n_jobs
@@ -205,8 +202,8 @@ class HDivExplorer:
             return mine_and_materialize(
                 universe,
                 partial(
-                    mine_fn, universe, self.min_support, self.backend,
-                    self.max_length, n_jobs=self.n_jobs, obs=obs,
+                    mine_fn, universe, self.min_support,
+                    max_length=self.max_length, n_jobs=self.n_jobs, obs=obs,
                 ),
                 self.polarity,
                 obs,

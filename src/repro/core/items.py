@@ -261,7 +261,7 @@ class Itemset:
     def _from_distinct(cls, items: FrozenSet[Item]) -> "Itemset":
         """Construct without the one-item-per-attribute check.
 
-        Internal fast path for the mining backends, which guarantee
+        Internal fast path for the mining engine, which guarantees
         attribute distinctness structurally.
         """
         self = object.__new__(cls)

@@ -1,12 +1,14 @@
 """Frequent-pattern mining with in-pass divergence accumulation.
 
-Four interchangeable backends (Apriori, FP-Growth, Eclat and the
-packed-bitset engine) mine all frequent itemsets over an encoded item
-universe while accumulating the outcome sufficient statistics of every
-itemset, so divergence and significance come out of the mining pass for
-free (Algorithm 1 of the paper). :func:`mine` with ``n_jobs != 1``
-shards first-level prefixes across worker processes
-(:mod:`repro.core.mining.parallel`).
+One engine, the packed-bitset DFS (:mod:`repro.core.mining.bitset`),
+mines all frequent itemsets over an encoded item universe while
+accumulating the outcome sufficient statistics of every itemset, so
+divergence and significance come out of the mining pass for free
+(Algorithm 1 of the paper). :func:`mine` with ``n_jobs != 1`` shards
+first-level prefixes across worker processes
+(:mod:`repro.core.mining.parallel`). :func:`mine_apriori` is a plain
+levelwise enumerator kept as the reference the engine is tested
+against; :func:`mine` never calls it.
 
 The *generalized* universe (:func:`generalized_universe`) augments the
 item set with every hierarchy-internal item; transactions are extended
@@ -17,19 +19,15 @@ sharing an itemset.
 
 from repro.core.mining.apriori import mine_apriori
 from repro.core.mining.bitset import BitsetEngine, mine_bitset
-from repro.core.mining.eclat import mine_eclat
-from repro.core.mining.fpgrowth import mine_fpgrowth
 from repro.core.mining.generalized import base_universe, generalized_universe
 from repro.core.mining.parallel import mine_parallel
 from repro.core.mining.transactions import (
-    BACKENDS,
     EncodedUniverse,
     MinedItemset,
     mine,
 )
 
 __all__ = [
-    "BACKENDS",
     "BitsetEngine",
     "EncodedUniverse",
     "MinedItemset",
@@ -38,7 +36,5 @@ __all__ = [
     "mine",
     "mine_apriori",
     "mine_bitset",
-    "mine_eclat",
-    "mine_fpgrowth",
     "mine_parallel",
 ]

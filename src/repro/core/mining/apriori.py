@@ -1,4 +1,10 @@
-"""Apriori with divergence accumulation (Agrawal & Srikant, VLDB'94).
+"""Apriori (Agrawal & Srikant, VLDB'94): the reference enumerator.
+
+A plain levelwise miner over boolean row masks, kept as the oracle the
+bitset engine is tested against. It shares no kernel with the engine:
+covers are ``numpy`` boolean masks, counts are ``count_nonzero`` and
+statistics come from :meth:`EncodedUniverse.stats_of_mask`.
+:func:`repro.core.mining.transactions.mine` never calls it.
 
 Levelwise candidate generation with two additions:
 
@@ -17,76 +23,44 @@ import math
 import numpy as np
 
 from repro.core.mining.transactions import EncodedUniverse, MinedItemset
-from repro.obs.collector import AnyCollector, resolve_obs
 
 
 def mine_apriori(
     universe: EncodedUniverse,
     min_support: float,
     max_length: int | None = None,
-    engine=None,
-    obs: AnyCollector | None = None,
 ) -> list[MinedItemset]:
-    """Mine all frequent itemsets levelwise.
-
-    With ``engine`` given (a :class:`~repro.core.mining.bitset.\
-BitsetEngine`), candidate masks are packed uint64 covers: the
-    counting step intersects words and popcounts instead of ANDing
-    boolean arrays, and statistics come from the engine's aggregation
-    kernels. Itemsets, statistics and emission order are unchanged.
+    """Mine all frequent itemsets levelwise, in level order.
 
     See :func:`repro.core.mining.transactions.mine` for parameters.
     """
     if not 0.0 < min_support <= 1.0:
         raise ValueError("min_support must be in (0, 1]")
-    obs = resolve_obs(obs)
-    n_rows = universe.n_rows
-    min_count = max(1, math.ceil(min_support * n_rows))
+    min_count = max(1, math.ceil(min_support * universe.n_rows))
     attr = universe.attribute_of
     results: list[MinedItemset] = []
 
-    if engine is not None:
-        from repro.core.mining.bitset import popcount_rows
-
-        covers = engine.item_words
-        count_of = lambda cover: int(popcount_rows(cover))  # noqa: E731
-        stats_of = engine.stats_of_cover
-    else:
-        covers = universe.masks
-        count_of = lambda mask: int(np.count_nonzero(mask))  # noqa: E731
-        stats_of = universe.stats_of_mask
-
-    # Level 1: frequent single items, with their covers retained.
+    # Level 1: frequent single items, with their masks retained.
     frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
     for i in range(universe.n_items()):
-        cover = covers[i]
-        count = count_of(cover)
-        if count >= min_count:
-            frontier.append(((i,), cover))
-            results.append(MinedItemset(frozenset((i,)), stats_of(cover)))
-    if obs.enabled:
-        obs.count("mining.candidates", universe.n_items())
-        obs.count("mining.support_pruned", universe.n_items() - len(frontier))
-        obs.count("mining.rows_scanned", universe.n_items() * n_rows)
-    # Level-wise mining has no per-root boundary, so progress is
-    # announced up front and advanced in one bulk step at the end —
-    # the *final* done value matches the per-root backends and the
-    # parallel shard count (the event_counts invariant).
-    n_roots = len(frontier)
-    obs.progress("mine", advance=0, expect=n_roots)
+        mask = universe.masks[i]
+        if np.count_nonzero(mask) >= min_count:
+            frontier.append(((i,), mask))
+            results.append(
+                MinedItemset(frozenset((i,)), universe.stats_of_mask(mask))
+            )
 
     length = 1
     frequent_prev = {ids for ids, _ in frontier}
     while frontier and (max_length is None or length < max_length):
-        obs.checkpoint("mine")
         frontier.sort(key=lambda e: e[0])
         next_frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
         next_frequent: set[tuple[int, ...]] = set()
         for a in range(len(frontier)):
-            ids_a, cover_a = frontier[a]
+            ids_a, mask_a = frontier[a]
             prefix = ids_a[:-1]
             for b in range(a + 1, len(frontier)):
-                ids_b, cover_b = frontier[b]
+                ids_b, mask_b = frontier[b]
                 if ids_b[:-1] != prefix:
                     break  # sorted order: no more shared prefixes
                 i, j = ids_a[-1], ids_b[-1]
@@ -94,29 +68,18 @@ BitsetEngine`), candidate masks are packed uint64 covers: the
                     continue
                 candidate = ids_a + (j,)
                 if not _all_subsets_frequent(candidate, frequent_prev):
-                    if obs.enabled:
-                        obs.count("apriori.subset_pruned")
                     continue
-                if obs.enabled:
-                    obs.count("mining.candidates")
-                    obs.count("mining.rows_scanned", n_rows)
-                cover = cover_a & cover_b
-                if count_of(cover) < min_count:
-                    if obs.enabled:
-                        obs.count("mining.support_pruned")
+                mask = mask_a & mask_b
+                if np.count_nonzero(mask) < min_count:
                     continue
-                next_frontier.append((candidate, cover))
+                next_frontier.append((candidate, mask))
                 next_frequent.add(candidate)
-                results.append(MinedItemset(frozenset(candidate), stats_of(cover)))
+                results.append(
+                    MinedItemset(frozenset(candidate), universe.stats_of_mask(mask))
+                )
         frontier = next_frontier
         frequent_prev = next_frequent
         length += 1
-    obs.progress("mine", advance=n_roots, levels=length)
-    if obs.enabled:
-        span = obs.current_span()
-        if span is not None:
-            # The breadth-first depth reached (levels fully generated).
-            span.set(levels=length)
     return results
 
 

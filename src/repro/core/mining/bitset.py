@@ -1,9 +1,9 @@
-"""Packed-bitset transaction engine.
+"""Packed-bitset transaction engine: the one mining engine.
 
-The hot path of every mining backend is *cover algebra*: intersect the
-row covers of items, count the surviving rows, and aggregate the
-outcome over them. :class:`BitsetEngine` packs each item's boolean row
-mask into a ``numpy.uint64`` bit array (64 rows per word) so that
+Mining is *cover algebra*: intersect the row covers of items, count
+the surviving rows, and aggregate the outcome over them.
+:class:`BitsetEngine` packs each item's boolean row mask into a
+``numpy.uint64`` bit array (64 rows per word) so that
 
 - itemset intersection is a vectorized ``np.bitwise_and``,
 - support counting is a popcount kernel over the packed words,
@@ -13,17 +13,16 @@ mask into a ``numpy.uint64`` bit array (64 rows per word) so that
   outcomes),
 
 and candidate evaluation is *batched*: all sibling extensions of a
-prefix are intersected and counted in one fused numpy call, which is
-where the speedup over per-candidate boolean masks comes from.
+prefix are intersected and counted in one fused numpy call.
 
 Statistics are bit-identical to :meth:`EncodedUniverse.stats_of_mask`:
 counts are exact integers from popcounts, and numeric totals reuse the
 universe's own ``_o @ mask`` dot product on the unpacked cover.
 
 An LRU *cover cache* keyed by the canonical (sorted) itemset lets
-parent covers be reused when extending itemsets — FP-growth conditional
-bases, Eclat tid-lists and the parallel fan-out's per-prefix shards all
-re-derive prefix covers through :meth:`BitsetEngine.cover`.
+parent covers be reused when extending itemsets — polarity re-runs and
+the parallel fan-out's per-prefix shards re-derive prefix covers
+through :meth:`BitsetEngine.cover`.
 """
 
 from __future__ import annotations
@@ -222,13 +221,6 @@ class BitsetEngine:
         n, total, total_sq = self._stat_components(cover[None, :], [count])
         return OutcomeStats(count, int(n[0]), float(total[0]), float(total_sq[0]))
 
-    def stats_of_cover(self, cover: np.ndarray, count: int | None = None) -> OutcomeStats:
-        """Outcome statistics of an explicit packed cover."""
-        if count is None:
-            count = int(popcount_rows(cover))
-        n, total, total_sq = self._stat_components(cover[None, :], [count])
-        return OutcomeStats(count, int(n[0]), float(total[0]), float(total_sq[0]))
-
     def _stat_components(
         self, covers: np.ndarray, counts: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,11 +246,6 @@ class BitsetEngine:
             totals[j] = float(u._o @ bools[j])
             totals_sq[j] = float(u._o2 @ bools[j])
         return ns, totals, totals_sq
-
-    def transactions(self) -> list[list[int]]:
-        """Row-wise transactions derived from the packed covers."""
-        bools = unpack_cover(self.item_words, self.n_rows)
-        return [np.nonzero(col)[0].tolist() for col in bools.T]
 
     def restricted(self, item_ids: Iterable[int]) -> "BitsetEngine":
         """An engine over a sub-universe, sharing the packed rows.
@@ -306,7 +293,7 @@ class BitsetEngine:
     ) -> MinedColumns:
         """Mine all frequent itemsets depth-first over packed covers.
 
-        Emits itemsets in Eclat DFS order (candidate items in universe
+        Emits itemsets in DFS order (candidate items in universe
         order), so the output is deterministic and identical to the
         concatenation of :meth:`mine_subtree` over the frequent roots.
         """
@@ -449,11 +436,10 @@ def mine_bitset(
     max_length: int | None = None,
     engine: BitsetEngine | None = None,
 ) -> MinedColumns:
-    """Mine all frequent itemsets with the packed-bitset engine.
+    """Mine all frequent itemsets serially with the packed-bitset engine.
 
-    Drop-in backend beside Apriori/FP-Growth/Eclat: identical itemsets
-    and statistics, emitted in Eclat DFS order. Pass an existing
-    ``engine`` to reuse its packed covers and cover cache.
+    Itemsets come out in DFS order (lexicographic id order). Pass an
+    existing ``engine`` to reuse its packed covers and cover cache.
     """
     if engine is None:
         engine = BitsetEngine(universe)

@@ -228,7 +228,7 @@ def mine_parallel(
     """Mine all frequent itemsets with sharded worker processes.
 
     Returns the same itemsets, statistics *and order* as the serial
-    bitset backend (:func:`repro.core.mining.bitset.mine_bitset`), for
+    bitset DFS (:func:`repro.core.mining.bitset.mine_bitset`), for
     any ``n_jobs``. Falls back to the serial path when ``n_jobs`` is 1
     or the universe has at most one shard.
 
@@ -284,7 +284,7 @@ def mine_parallel(
          streaming, token)
         for root, tail in shards
     ]
-    # Progress in shards — the same unit as the serial backends'
+    # Progress in shards — the same unit as the serial DFS's
     # frequent level-1 roots, so final totals match across n_jobs.
     obs.progress("mine", advance=0, expect=len(shards))
     if pool is not None:

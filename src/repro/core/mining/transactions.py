@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -18,7 +19,7 @@ class EncodedUniverse:
     """A dataset encoded against a fixed list of items.
 
     Holds, for each item, its boolean row mask, plus the per-row outcome
-    array; everything the mining backends need, computed once.
+    array; everything the mining engine needs, computed once.
 
     Parameters
     ----------
@@ -95,11 +96,6 @@ class EncodedUniverse:
         """Per-item statistics (used for polarity assignment)."""
         return [self.stats_of_mask(self.masks[i]) for i in range(self.n_items())]
 
-    def transactions(self) -> list[list[int]]:
-        """Row-wise transactions: the sorted item ids matching each row."""
-        rows_per_item = self.masks.T  # (n_rows, n_items)
-        return [np.nonzero(row)[0].tolist() for row in rows_per_item]
-
     def restricted(self, item_ids: Iterable[int]) -> "EncodedUniverse":
         """A sub-universe containing only the given items.
 
@@ -125,7 +121,7 @@ class EncodedUniverse:
 
 @dataclass(frozen=True)
 class MinedItemset:
-    """A frequent itemset found by a mining backend.
+    """A frequent itemset found by the mining engine.
 
     ``ids`` are indices into the universe's item list; ``stats`` are the
     accumulated outcome statistics of the supporting rows.
@@ -135,7 +131,7 @@ class MinedItemset:
     stats: OutcomeStats
 
     def to_itemset(self, universe: EncodedUniverse) -> Itemset:
-        # Backends guarantee one item per attribute; skip re-validation.
+        # The miner guarantees one item per attribute; skip re-validation.
         return Itemset._from_distinct(
             frozenset(universe.items[i] for i in self.ids)
         )
@@ -196,8 +192,8 @@ class MinedColumns:
     ``ids`` is an ``(n, width)`` ``int32`` matrix holding each itemset's
     universe ids in ascending order, right-padded with ``-1``; ``count``,
     ``n``, ``total`` and ``total_sq`` are the :class:`OutcomeStats`
-    fields, one entry per itemset. Rows keep the backend's emission
-    order (the bitset DFS emits them in lexicographic id order).
+    fields, one entry per itemset. Rows keep the emission order (the
+    bitset DFS emits them in lexicographic id order).
 
     The container is read-only and behaves as a sequence of
     :class:`MinedItemset` — ``len``, iteration, indexing and ``==``
@@ -335,24 +331,38 @@ class MinedColumns:
         return f"MinedColumns(itemsets={len(self)}, width={self.ids.shape[1]})"
 
 
-#: Names accepted by :func:`mine`'s ``backend`` parameter.
-BACKENDS = ("fpgrowth", "apriori", "eclat", "bitset")
+def ignore_backend(backend: str | None, owner: str) -> None:
+    """Accept the retired ``backend=`` option, and ignore it.
+
+    The bitset DFS is the only mining engine, so the option no longer
+    selects anything. ``None`` (not given) passes silently; any of the
+    four names it once took warns with a :class:`DeprecationWarning`;
+    any other name raises :class:`ValueError`, as it always did.
+    """
+    if backend is None:
+        return
+    if backend not in ("fpgrowth", "apriori", "eclat", "bitset"):
+        raise ValueError(f"unknown mining backend {backend!r}")
+    warnings.warn(
+        f"{owner}: backend={backend!r} is deprecated and ignored; "
+        "every run mines with the bitset engine",
+        DeprecationWarning,
+        stacklevel=3,
+    )
 
 
 def mine(
     universe: EncodedUniverse,
     min_support: float,
-    backend: str = "fpgrowth",
+    *,
     max_length: int | None = None,
     n_jobs: int = 1,
     engine=None,
     obs: AnyCollector | None = None,
     pool=None,
+    backend: str | None = None,
 ) -> MinedColumns:
-    """Mine all frequent itemsets with the chosen backend.
-
-    Every backend's output comes back as one :class:`MinedColumns`;
-    the list-producing backends are converted here, once.
+    """Mine all frequent itemsets with the bitset engine.
 
     Parameters
     ----------
@@ -360,34 +370,31 @@ def mine(
         Encoded dataset and item universe.
     min_support:
         The support threshold ``s`` (fraction of rows).
-    backend:
-        ``"fpgrowth"`` (default), ``"apriori"``, ``"eclat"``, or
-        ``"bitset"``; all return the same itemsets and statistics.
     max_length:
         Optional cap on itemset cardinality.
     n_jobs:
         With ``n_jobs != 1``, first-level prefixes are sharded across
         worker processes (``repro.core.mining.parallel``); results are
-        identical to the serial bitset backend, in the same order,
-        whatever the backend requested. Non-positive means all cores.
+        identical to the serial run, in the same order. Non-positive
+        means all cores.
     engine:
         Optional :class:`repro.core.mining.bitset.BitsetEngine` to
         reuse (packed covers + cover cache) instead of building one.
     obs:
-        Optional :class:`repro.obs.ObsCollector`. When enabled, the
-        dispatch runs inside a span named after the backend and the
-        registry receives the per-backend mining counters, the cover-
-        cache deltas of ``engine``, and the backend-independent
+        Optional :class:`repro.obs.ObsCollector`. When enabled, mining
+        runs inside a ``bitset`` span and the registry receives the
+        mining counters, the cover-cache deltas of ``engine``, and the
         ``mining.frequent_itemsets`` / ``mining.frequent.level_N``
-        totals (one ``np.bincount`` over the itemset lengths, so they are
-        identical for every backend and every ``n_jobs``).
+        totals (one ``np.bincount`` over the itemset lengths, so they
+        are identical for every ``n_jobs``).
     pool:
         Optional persistent :class:`repro.core.mining.parallel.WorkerPool`
         serving the ``n_jobs != 1`` fan-out from long-lived workers
         instead of spawning a pool per call (its ``n_jobs`` wins).
+    backend:
+        Deprecated and ignored (see :func:`ignore_backend`).
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown mining backend {backend!r}")
+    ignore_backend(backend, "mine")
     obs = resolve_obs(obs)
     hits0 = engine.cache_hits if engine is not None else 0
     misses0 = engine.cache_misses if engine is not None else 0
@@ -397,7 +404,7 @@ def mine(
         prev_engine_obs = engine.obs
         restore_engine_obs = True
         engine.obs = obs
-    span = obs.span(backend, n_jobs=n_jobs, min_support=min_support)
+    span = obs.span("bitset", n_jobs=n_jobs, min_support=min_support)
     try:
         with span:
             if n_jobs != 1 or pool is not None:
@@ -406,24 +413,6 @@ def mine(
                 mined = mine_parallel(
                     universe, min_support, max_length,
                     n_jobs=n_jobs, engine=engine, obs=obs, pool=pool,
-                )
-            elif backend == "fpgrowth":
-                from repro.core.mining.fpgrowth import mine_fpgrowth
-
-                mined = mine_fpgrowth(
-                    universe, min_support, max_length, engine=engine, obs=obs
-                )
-            elif backend == "apriori":
-                from repro.core.mining.apriori import mine_apriori
-
-                mined = mine_apriori(
-                    universe, min_support, max_length, engine=engine, obs=obs
-                )
-            elif backend == "eclat":
-                from repro.core.mining.eclat import mine_eclat
-
-                mined = mine_eclat(
-                    universe, min_support, max_length, engine=engine, obs=obs
                 )
             else:
                 from repro.core.mining.bitset import BitsetEngine, mine_bitset
@@ -434,7 +423,6 @@ def mine(
     finally:
         if restore_engine_obs:
             engine.obs = prev_engine_obs
-    mined = MinedColumns.from_itemsets(mined)
     if obs.enabled:
         if engine is not None:
             # mine_parallel clears the engine cache before shipping it to

@@ -12,7 +12,7 @@ probability ``k+ / (k+ + k-)`` of the paper.
 
 from __future__ import annotations
 
-import warnings
+import math
 
 import numpy as np
 
@@ -291,9 +291,10 @@ def coerce_outcome(
     * a precomputed per-row numpy array — :func:`array_outcome`, with
       ``boolean`` inferred (defined values all 0/1);
     * a ``(y_true, y_pred)`` pair of per-row arrays — the per-row
-      misclassification indicator;
-    * a plain Python list/tuple of per-row values — still accepted, but
-      deprecated in favour of a numpy array or :func:`array_outcome`.
+      misclassification indicator.
+
+    Anything else, a plain Python list of per-row values included,
+    raises :class:`TypeError`: wrap such values in a numpy array.
     """
     if isinstance(outcome, Outcome):
         return outcome
@@ -317,21 +318,6 @@ def coerce_outcome(
             return array_outcome(
                 (t != p).astype(np.float64), name="error", boolean=True
             )
-    if isinstance(outcome, (tuple, list)):
-        warnings.warn(
-            "passing a plain Python sequence as an outcome is "
-            "deprecated; pass a numpy array, an Outcome, a column "
-            "name, or a (y_true, y_pred) pair",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        values = np.asarray(outcome, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError(
-                f"outcome sequence must be one-dimensional, "
-                f"got shape {values.shape}"
-            )
-        return array_outcome(values, boolean=_is_boolean_array(values))
     raise TypeError(
         f"cannot interpret {type(outcome).__name__} as an outcome; "
         "expected an Outcome, a column name, a (y_true, y_pred) pair, "
@@ -366,8 +352,11 @@ def frozen_outcome(outcome: Outcome, table: Table) -> Outcome:
     The explorers' and the session's front door. An outcome with no
     defined value, or with a ±inf value, has no finite mean to diverge
     from, so it is rejected here with a :class:`ValueError`, before any
-    discretization or mining. The returned :class:`Outcome` wraps the
-    evaluated array, so later steps do not evaluate it again.
+    discretization or mining. So is an outcome whose Σo² over the
+    defined values overflows: every subgroup's Σo² is bounded by that
+    global one, so when it is finite no subgroup variance can overflow.
+    The returned :class:`Outcome` wraps the evaluated array, so later
+    steps do not evaluate it again.
     """
     values = outcome.values(table)
     if np.isnan(values).all():
@@ -379,5 +368,14 @@ def frozen_outcome(outcome: Outcome, table: Table) -> Outcome:
         raise ValueError(
             f"outcome {outcome.name!r} has {int(np.isinf(values).sum())} "
             "infinite values; a subgroup mean must be finite"
+        )
+    defined = values[~np.isnan(values)]
+    with np.errstate(over="ignore"):
+        total_sq = float(np.square(defined).sum())
+    if not math.isfinite(total_sq):
+        raise ValueError(
+            f"outcome {outcome.name!r} is too large in magnitude: its sum "
+            f"of squares overflows (max |value| {np.abs(defined).max():.3g}); "
+            "rescale it"
         )
     return array_outcome(values, name=outcome.name, boolean=outcome.boolean)

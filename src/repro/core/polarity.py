@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.items import IntervalItem
+from repro.core.mining.bitset import BitsetEngine
 from repro.core.mining.transactions import (
     EncodedUniverse,
     MinedColumns,
@@ -71,7 +72,7 @@ def item_polarities(
 def mine_with_polarity(
     universe: EncodedUniverse,
     min_support: float,
-    backend: str = "fpgrowth",
+    *,
     max_length: int | None = None,
     polarize_attributes: Iterable[str] | None = None,
     n_jobs: int = 1,
@@ -83,10 +84,10 @@ def mine_with_polarity(
     Each run uses the polarized items of one sign plus all neutral
     items; results are deduplicated on their id rows, keeping the
     first occurrence (itemsets of only neutral items appear in both
-    runs). ``backend``, ``n_jobs`` and ``engine`` are
-    forwarded to :func:`repro.core.mining.transactions.mine`; with an
-    engine (or the bitset backend, or parallel mining) both subspace
-    runs slice one set of packed covers instead of re-packing.
+    runs). ``n_jobs`` and ``engine`` are forwarded to
+    :func:`repro.core.mining.transactions.mine`; both subspace runs
+    slice one set of packed covers (``engine``, or one built here)
+    instead of re-packing.
 
     With ``obs`` enabled, each subspace mines inside a
     ``polarity.positive`` / ``polarity.negative`` span and the registry
@@ -102,9 +103,7 @@ def mine_with_polarity(
         obs.count("polarity.negative_items", sum(1 for p in polarities if p < 0))
         obs.count("polarity.neutral_items", sum(1 for p in polarities if p == 0))
 
-    if engine is None and (backend == "bitset" or n_jobs != 1):
-        from repro.core.mining.bitset import BitsetEngine
-
+    if engine is None:
         engine = BitsetEngine(universe, obs=obs)
 
     merged = MinedColumns.empty()
@@ -113,10 +112,9 @@ def mine_with_polarity(
             continue
         with obs.span(f"polarity.{sign}", items=len(ids)) as sub_span:
             sub = universe.restricted(ids)
-            sub_engine = engine.restricted(ids) if engine is not None else None
             found = mine(
-                sub, min_support, backend, max_length, n_jobs=n_jobs,
-                engine=sub_engine, obs=obs,
+                sub, min_support, max_length=max_length, n_jobs=n_jobs,
+                engine=engine.restricted(ids), obs=obs,
             )
             # Sub-universe ids map back in order: ``ids`` is ascending.
             both = MinedColumns.concat(

@@ -1,7 +1,7 @@
 """The reprolint rule catalogue (RPL001–RPL019).
 
 Each rule encodes one invariant the reproduction depends on —
-determinism across backends and ``n_jobs``, independence from the
+determinism across ``n_jobs`` and warm/cold runs, independence from the
 banned substrate, frozen-config semantics — as a purely syntactic check
 over the AST. See ``docs/STATIC_ANALYSIS.md`` for the full rationale
 per rule and the suppression/baseline mechanics.
@@ -42,10 +42,6 @@ STDLIB_RANDOM_FUNCS = {
 #: Mutable constructors whose results must not be default arguments or
 #: fork-captured module globals.
 MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
-
-#: Legacy ExploreConfig keyword spellings (PR 1); popping one of these
-#: without warning silently changes API semantics.
-LEGACY_KWARGS = {"support", "st", "max_level"}
 
 #: Modules whose public surface ships real type annotations (py.typed).
 TYPED_PUBLIC_MODULES = (
@@ -94,9 +90,7 @@ _FLOAT_SENSITIVE = re.compile(r"(divergence|criteria|significance|polarity)")
 PIPELINE_INTERNAL_CALLS = {
     "TreeDiscretizer",
     "BitsetEngine",
-    "mine_fpgrowth",
     "mine_apriori",
-    "mine_eclat",
     "mine_bitset",
     "mine_parallel",
 }
@@ -310,7 +304,7 @@ class FloatEqualityRule(Rule):
     severity = Severity.WARNING
     rationale = (
         "Divergence and split-criterion math must agree bit-for-bit "
-        "across backends; == on float literals is usually a tolerance "
+        "across n_jobs; == on float literals is usually a tolerance "
         "bug unless it is an exact-zero guard (suppress those inline)."
     )
 
@@ -508,65 +502,6 @@ class WallClockTimingRule(Rule):
 
 
 @register
-class SilentDeprecationRule(Rule):
-    code = "RPL011"
-    name = "silent-deprecation"
-    severity = Severity.ERROR
-    rationale = (
-        "The PR 1 legacy-kwarg shims (support=, st=, max_level=) must "
-        "stay *loud*: any code path that consumes a legacy spelling "
-        "without a DeprecationWarning freezes the old API silently."
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            markers = list(self._shim_markers(node))
-            if markers and not _warns_deprecation(node):
-                for marker, what in markers:
-                    yield marker, (
-                        f"{node.name}() consumes legacy keyword {what} "
-                        f"without emitting a DeprecationWarning"
-                    )
-
-    def _shim_markers(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[tuple[ast.AST, str]]:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                fn = node.func
-                if (
-                    isinstance(fn, ast.Attribute)
-                    and fn.attr in ("pop", "get")
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and node.args[0].value in LEGACY_KWARGS
-                ):
-                    yield node, repr(node.args[0].value)
-            elif isinstance(node, ast.Name) and node.id == "LEGACY_ALIASES":
-                yield node, "via LEGACY_ALIASES"
-
-
-def _warns_deprecation(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name in ("warnings.warn", "warn"):
-                mentioned = [
-                    dotted_name(a) for a in list(node.args) + [
-                        kw.value for kw in node.keywords
-                    ]
-                ]
-                if any(
-                    m is not None and m.endswith("DeprecationWarning")
-                    for m in mentioned
-                ):
-                    return True
-    return False
-
-
-@register
 class PrintInLibraryRule(Rule):
     code = "RPL013"
     name = "print-in-library"
@@ -684,7 +619,7 @@ class PipelineInternalConstructionRule(Rule):
     name = "pipeline-internal-construction"
     severity = Severity.ERROR
     rationale = (
-        "TreeDiscretizer, BitsetEngine and the mine_* backends are "
+        "TreeDiscretizer, BitsetEngine and the mine_* functions are "
         "pipeline internals: the front doors (DivExplorer/HDivExplorer, "
         "ExploreSession, the mine() dispatcher) own config resolution, "
         "canonical result ordering and artifact caching. Direct "

@@ -253,9 +253,9 @@ def event_counts(events: Iterable[Any]) -> dict[str, int]:
     Returns ``{"span_open:<name>": n, "span_close:<name>": n,
     "counters:<name>": n, "progress:<phase>": final_done}`` with keys
     sorted. Progress phases report their **final** ``done`` value (the
-    running maximum), not the number of progress events — level-wise
-    backends advance in bulk while per-root backends advance one at a
-    time, yet both end at the same total. Heartbeats and worker spans
+    running maximum), not the number of progress events — a serial
+    run and a sharded run advance in different steps, yet both end at
+    the same total. Heartbeats and worker spans
     (parallel-only, scheduling-dependent) are excluded. The result is
     identical across ``n_jobs`` ∈ {1, 4} — the tested invariant.
     """

@@ -222,9 +222,7 @@ class TestExplorerBundles:
     def explore(self, pocket_data, bundle_dir=None, n_jobs=1, **kw):
         table, errors = pocket_data
         config = ExploreConfig(
-            min_support=0.1, tree_support=0.1,
-            backend="bitset" if n_jobs > 1 else "fpgrowth",
-            n_jobs=n_jobs,
+            min_support=0.1, tree_support=0.1, n_jobs=n_jobs,
             bundle_dir=None if bundle_dir is None else str(bundle_dir),
             **kw,
         )

@@ -23,7 +23,7 @@ from repro.core.divergence import OutcomeStats, subgroup_columns, welch_t
 from repro.core.explorer import results_from_mined
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem
-from repro.core.mining import EncodedUniverse, mine
+from repro.core.mining import EncodedUniverse, mine, mine_apriori
 from repro.core.mining.transactions import MinedColumns
 from repro.core.polarity import mine_with_polarity
 from repro.core.results import ResultSet, SubgroupResult
@@ -191,13 +191,16 @@ def test_zero_variance_branches_give_zero_and_inf():
 @PROPERTY
 @given(universe=universes(), support=SUPPORTS)
 def test_result_set_matches_scalar_reference(universe, support):
-    mined = mine(universe, support, backend="bitset")
+    mined = mine(universe, support)
     got = results_from_mined(universe, mined, 0.0)
     want = reference_results(universe, mined)
     assert same_results(got, want)
     assert got.global_stats == universe.global_stats()
-    # A list of MinedItemset goes through the same path.
+    # A list of MinedItemset goes through the same path, and the
+    # Apriori oracle's (level-ordered) list gives the same results.
     assert same_results(results_from_mined(universe, list(mined), 0.0), want)
+    oracle = mine_apriori(universe, support)
+    assert same_results(results_from_mined(universe, oracle, 0.0), want)
 
 
 @PROPERTY
@@ -211,7 +214,7 @@ def test_result_set_matches_scalar_reference(universe, support):
 def test_top_k_matches_stable_sorted_reference(
     universe, support, k, min_t, min_length
 ):
-    mined = mine(universe, support, backend="bitset")
+    mined = mine(universe, support)
     got = results_from_mined(universe, mined, 0.0)
     want = reference_results(universe, mined)
     for by in BY:
@@ -236,7 +239,7 @@ def test_top_k_matches_stable_sorted_reference(
     higher=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
 )
 def test_at_support_matches_scalar_filter(universe, support, higher):
-    mined = mine(universe, support, backend="bitset")
+    mined = mine(universe, support)
     got = results_from_mined(universe, mined, 0.0).at_support(higher)
     want = [
         r for r in reference_results(universe, mined) if r.support >= higher
@@ -332,14 +335,13 @@ def test_container_identical_across_n_jobs(rng, boolean, polarity):
     if polarity:
         runs = [
             mine_with_polarity(
-                universe, 0.02, "bitset", polarize_attributes=["x", "z"],
-                n_jobs=n_jobs,
+                universe, 0.02, polarize_attributes=["x", "z"], n_jobs=n_jobs,
             )
             for n_jobs in (1, 2)
         ]
     else:
         runs = [
-            mine(universe, 0.02, "bitset", n_jobs=n_jobs) for n_jobs in (1, 2)
+            mine(universe, 0.02, n_jobs=n_jobs) for n_jobs in (1, 2)
         ]
     assert _same_columns(*runs)
     assert runs[0] == list(runs[1])  # the list view agrees too
@@ -348,9 +350,9 @@ def test_container_identical_across_n_jobs(rng, boolean, polarity):
 def test_polarity_container_is_a_subset_with_identical_stats(rng):
     table, items, o = _table(rng, 400, boolean=True)
     universe = EncodedUniverse.from_table(table, items, o)
-    full = {m.ids: m.stats for m in mine(universe, 0.02, "bitset")}
+    full = {m.ids: m.stats for m in mine(universe, 0.02)}
     pruned = mine_with_polarity(
-        universe, 0.02, "bitset", polarize_attributes=["x", "z"]
+        universe, 0.02, polarize_attributes=["x", "z"]
     )
     assert 0 < len(pruned) < len(full)
     assert all(full[m.ids] == m.stats for m in pruned)
@@ -362,7 +364,7 @@ def test_polarity_container_is_a_subset_with_identical_stats(rng):
 def test_warm_session_sweep_matches_cold_runs(pocket_data, n_jobs):
     table, errors = pocket_data
     supports = [0.05, 0.1, 0.2]
-    cfg = ExploreConfig(backend="bitset", n_jobs=n_jobs)
+    cfg = ExploreConfig(n_jobs=n_jobs)
     with ExploreSession(table, errors) as session:
         sweep = session.sweep("min_support", supports, cfg)
         mined = session._mined  # the cache holds the container
@@ -393,7 +395,7 @@ def test_result_set_invariant_under_row_permutation(seed, kind, polarity):
     table = Table({"x": x, "c": c})
     perm = rng.permutation(n)
     cfg = ExploreConfig(
-        min_support=0.05, tree_support=0.2, backend="bitset", polarity=polarity
+        min_support=0.05, tree_support=0.2, polarity=polarity
     )
     before = HDivExplorer(cfg).explore(table, o)
     after = HDivExplorer(cfg).explore(table.take(perm), o[perm])

@@ -1,10 +1,10 @@
-"""The PR 1 legacy-kwarg shims, swept across every constructor.
+"""Retired constructor keywords, swept across every constructor.
 
-Each explorer/baseline accepts the historical spellings ``support=``,
-``st=`` and ``max_level=``; all must emit a ``DeprecationWarning`` and
-land on the canonical :class:`ExploreConfig` field, while the canonical
-spellings stay silent. reprolint's RPL011 enforces the *implementation*
-shape (no silent legacy pops); this test pins the observable behaviour.
+The legacy spellings ``support=``, ``st=`` and ``max_level=`` are gone:
+each explorer/baseline rejects them with a ``TypeError``, while the
+canonical spellings set the :class:`ExploreConfig` field silently. The
+retired ``backend=`` option is still accepted by every constructor and
+ignored, with a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import warnings
 import pytest
 
 from repro.baselines import ErrorTree, SliceFinder, SliceLine
-from repro.core.config import LEGACY_ALIASES
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 
@@ -31,12 +30,9 @@ LEGACY_CASES = [
 @pytest.mark.parametrize(
     "legacy,canonical,value", LEGACY_CASES, ids=[c[0] for c in LEGACY_CASES]
 )
-def test_legacy_kwarg_warns_and_maps(cls, legacy, canonical, value):
-    with pytest.warns(
-        DeprecationWarning, match=f"keyword {legacy!r} is deprecated"
-    ):
-        obj = cls(**{legacy: value})
-    assert getattr(obj.config, canonical) == value
+def test_removed_kwarg_spelling_raises(cls, legacy, canonical, value):
+    with pytest.raises(TypeError, match=f"unexpected keyword.*{legacy}"):
+        cls(**{legacy: value})
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.__name__)
@@ -51,12 +47,9 @@ def test_canonical_spelling_is_silent(cls, legacy, canonical, value):
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.__name__)
-def test_canonical_beats_legacy_alias(cls):
-    with pytest.warns(DeprecationWarning):
-        obj = cls(support=0.03, min_support=0.09)
-    assert obj.config.min_support == 0.09
-
-
-def test_case_table_covers_every_alias():
-    assert {c[0] for c in LEGACY_CASES} == set(LEGACY_ALIASES)
-    assert {c[1] for c in LEGACY_CASES} == set(LEGACY_ALIASES.values())
+def test_retired_backend_is_ignored(cls):
+    with pytest.warns(DeprecationWarning, match="backend='apriori'"):
+        obj = cls(backend="apriori", min_support=0.09)
+    assert obj.config == cls(min_support=0.09).config
+    with pytest.raises(ValueError, match="unknown mining backend"):
+        cls(backend="mystery")

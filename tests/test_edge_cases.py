@@ -28,17 +28,30 @@ class TestDegenerateData:
         with pytest.raises(ValueError, match="no defined value"):
             ExploreSession(table, outcomes)
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
-    def test_infinite_outcome_is_rejected(self, rng, bad):
+    @pytest.mark.parametrize(
+        "bad,match",
+        [(np.inf, "infinite"), (-np.inf, "infinite"), (1e160, "overflows")],
+        ids=["inf", "-inf", "overflow"],
+    )
+    def test_infinite_outcome_is_rejected(self, rng, bad, match):
+        # A finite value whose square overflows would give every
+        # subgroup containing it an infinite Σo², so a NaN variance.
         table = Table({"x": rng.uniform(0, 1, 100), "c": ["a", "b"] * 50})
         outcomes = rng.normal(size=100)
         outcomes[7] = bad
-        with pytest.raises(ValueError, match="infinite"):
+        with pytest.raises(ValueError, match=match):
             HDivExplorer(0.2, tree_support=0.3).explore(table, outcomes)
-        with pytest.raises(ValueError, match="infinite"):
+        with pytest.raises(ValueError, match=match):
             DivExplorer(0.2).explore(table, outcomes)
-        with pytest.raises(ValueError, match="infinite"):
+        with pytest.raises(ValueError, match=match):
             ExploreSession(table, outcomes)
+
+    def test_large_finite_outcome_still_explores(self, rng):
+        table = Table({"c": rng.choice(["a", "b", "c", "d"], 400)})
+        outcomes = rng.normal(size=400) * 1e150
+        result = DivExplorer(0.1).explore(table, outcomes)
+        assert len(result) == 4
+        assert all(math.isfinite(r.t) for r in result)
 
     def test_partly_nan_outcome_still_explores(self, rng):
         table = Table({"x": rng.uniform(0, 1, 100)})

@@ -4,8 +4,7 @@ Covers the event-stream mechanics (bounding, seq, sinks), the JSONL
 run log round-trip and its validator, the progress renderer, the
 deadline/cancellation controller, the Chrome-trace exporter, and the
 pipeline-level determinism contracts: events-off runs bit-identical to
-events-on runs, and ``event_counts`` parity across ``n_jobs`` ∈ {1, 4}
-and across backends.
+events-on runs, and ``event_counts`` parity across ``n_jobs`` ∈ {1, 4}.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 from repro.core.config import ExploreConfig
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, IntervalItem
-from repro.core.mining import BACKENDS
 from repro.core.mining.transactions import EncodedUniverse, mine
 from repro.obs import (
     EVENTS_SCHEMA,
@@ -620,37 +618,36 @@ class TestChromeTrace:
 class TestMiningParity:
     """The tentpole determinism contracts at the mining layer."""
 
-    def counts_for(self, universe, backend, n_jobs=1):
+    def counts_for(self, universe, n_jobs=1):
         obs = ObsCollector(events=EventStream())
-        mined = mine(universe, 0.05, backend, n_jobs=n_jobs, obs=obs)
+        mined = mine(universe, 0.05, n_jobs=n_jobs, obs=obs)
         return mined, event_counts(obs.events)
 
-    def test_progress_totals_agree_across_backends(self, universe):
+    def test_progress_finishes_announced_total(self, universe):
         finals = {}
         announced = {}
-        for backend in BACKENDS:
+        for n_jobs in (1, 4):
             obs = ObsCollector(events=EventStream())
-            mine(universe, 0.05, backend, obs=obs)
-            finals[backend] = event_counts(obs.events)["progress:mine"]
+            mine(universe, 0.05, n_jobs=n_jobs, obs=obs)
+            finals[n_jobs] = event_counts(obs.events)["progress:mine"]
             totals = [
                 e.attrs.get("total") for e in obs.events
                 if e.kind == "progress" and e.name == "mine"
             ]
-            announced[backend] = totals[-1]
+            announced[n_jobs] = totals[-1]
         assert len(set(finals.values())) == 1, finals
-        # Every backend finishes exactly the total it announced.
-        for backend in BACKENDS:
-            assert finals[backend] == announced[backend]
+        # Serial and sharded runs finish exactly the total they announced.
+        assert finals == announced
 
     def test_event_counts_identical_across_n_jobs(self, universe):
-        mined_serial, counts_serial = self.counts_for(universe, "bitset", 1)
-        mined_par, counts_par = self.counts_for(universe, "bitset", 4)
+        mined_serial, counts_serial = self.counts_for(universe, 1)
+        mined_par, counts_par = self.counts_for(universe, 4)
         assert mined_signature(mined_par) == mined_signature(mined_serial)
         assert counts_par == counts_serial
 
     def test_parallel_run_streams_heartbeats_and_worker_spans(self, universe):
         obs = ObsCollector(events=EventStream())
-        mine(universe, 0.05, "bitset", n_jobs=4, obs=obs)
+        mine(universe, 0.05, n_jobs=4, obs=obs)
         heartbeats = [
             e for e in obs.events
             if e.kind == "heartbeat" and e.name == "mine.shard"
@@ -680,11 +677,8 @@ class TestMiningParity:
         assert slice_tids == workers
 
     def test_events_off_results_bit_identical(self, universe):
-        mined_off = mine(universe, 0.05, "fpgrowth")
-        mined_on = mine(
-            universe, 0.05, "fpgrowth",
-            obs=ObsCollector(events=EventStream()),
-        )
+        mined_off = mine(universe, 0.05)
+        mined_on = mine(universe, 0.05, obs=ObsCollector(events=EventStream()))
         assert mined_signature(mined_on) == mined_signature(mined_off)
 
 
@@ -732,8 +726,7 @@ class TestExplorerDeadline:
         def run(n_jobs):
             obs = ObsCollector(events=EventStream())
             config = ExploreConfig(
-                min_support=0.1, tree_support=0.1,
-                backend="bitset", n_jobs=n_jobs, obs=obs,
+                min_support=0.1, tree_support=0.1, n_jobs=n_jobs, obs=obs,
             )
             result = HDivExplorer(config).explore(table, errors)
             return result_signature(result), event_counts(obs.events)

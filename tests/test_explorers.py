@@ -198,10 +198,16 @@ class TestHDivExplorer:
         )
 
     def test_backends_equivalent(self, pocket_data):
+        # The retired backend names all run the one engine.
         table, errors = pocket_data
-        fp = HDivExplorer(0.1, backend="fpgrowth").explore(table, errors)
-        ap = HDivExplorer(0.1, backend="apriori").explore(table, errors)
-        assert fp.itemsets() == ap.itemsets()
+        want = HDivExplorer(0.1).explore(table, errors)
+        for name in ("fpgrowth", "apriori", "eclat", "bitset"):
+            with pytest.warns(DeprecationWarning):
+                explorer = HDivExplorer(0.1, backend=name)
+            got = explorer.explore(table, errors)
+            assert [(str(r.itemset), r.divergence) for r in got] == [
+                (str(r.itemset), r.divergence) for r in want
+            ]
 
     def test_max_length(self, pocket_data):
         table, errors = pocket_data

@@ -1,8 +1,9 @@
-"""Unit tests for the mining backends (Apriori, FP-Growth).
+"""Unit tests for the mining engine and its reference enumerator.
 
-Both are checked against a brute-force reference on small universes,
-against each other on larger ones, and their accumulated statistics
-against direct mask computation.
+The bitset engine (``mine``) and the Apriori oracle are both checked
+against a brute-force reference on small universes, against each
+other on larger ones (bit-identical statistics, serial and sharded),
+and their accumulated statistics against direct mask computation.
 """
 
 from itertools import combinations
@@ -18,7 +19,6 @@ from repro.core.mining import (
     generalized_universe,
     mine,
     mine_apriori,
-    mine_fpgrowth,
 )
 from repro.core.discretize import TreeDiscretizer
 from repro.core.hierarchy import HierarchySet
@@ -102,9 +102,9 @@ class TestAgainstBruteForce:
             assert stats_equal(got[ids], expected[ids])
 
     @pytest.mark.parametrize("support", [0.05, 0.2, 0.5])
-    def test_fpgrowth_flat(self, flat_universe, support):
+    def test_bitset_flat(self, flat_universe, support):
         expected = brute_force(flat_universe, support)
-        got = as_dict(mine_fpgrowth(flat_universe, support))
+        got = as_dict(mine(flat_universe, support))
         assert set(got) == set(expected)
         for ids in got:
             assert stats_equal(got[ids], expected[ids])
@@ -113,7 +113,7 @@ class TestAgainstBruteForce:
     def test_both_generalized(self, generalized_fixture, support):
         expected = brute_force(generalized_fixture, support, max_length=3)
         ap = as_dict(mine_apriori(generalized_fixture, support, 3))
-        fp = as_dict(mine_fpgrowth(generalized_fixture, support, 3))
+        fp = as_dict(mine(generalized_fixture, support, max_length=3))
         assert set(ap) == set(expected)
         assert set(fp) == set(expected)
         for ids in expected:
@@ -124,43 +124,48 @@ class TestAgainstBruteForce:
 class TestBackendAgreement:
     def test_identical_results(self, generalized_fixture):
         ap = as_dict(mine_apriori(generalized_fixture, 0.1))
-        fp = as_dict(mine_fpgrowth(generalized_fixture, 0.1))
-        assert set(ap) == set(fp)
-        for ids in ap:
-            assert stats_equal(ap[ids], fp[ids])
+        bit = as_dict(mine(generalized_fixture, 0.1))
+        assert bit == ap  # bit-identical statistics
 
     def test_mine_dispatch(self, flat_universe):
-        assert set(as_dict(mine(flat_universe, 0.1, "apriori"))) == set(
-            as_dict(mine(flat_universe, 0.1, "fpgrowth"))
-        )
+        # Serial and sharded dispatch return the same columns.
+        serial = mine(flat_universe, 0.1)
+        assert mine(flat_universe, 0.1, n_jobs=2) == serial
+        assert as_dict(serial) == as_dict(mine_apriori(flat_universe, 0.1))
 
     def test_unknown_backend(self, flat_universe):
         with pytest.raises(ValueError, match="backend"):
-            mine(flat_universe, 0.1, "magic")
+            mine(flat_universe, 0.1, backend="magic")
+
+    @pytest.mark.parametrize("name", ["fpgrowth", "apriori", "eclat", "bitset"])
+    def test_retired_backend_warns_and_is_ignored(self, flat_universe, name):
+        with pytest.warns(DeprecationWarning, match="ignored"):
+            got = mine(flat_universe, 0.1, backend=name)
+        assert got == mine(flat_universe, 0.1)
 
 
 class TestInvariants:
     def test_supports_at_least_threshold(self, flat_universe):
         s = 0.15
-        for m in mine_fpgrowth(flat_universe, s):
+        for m in mine(flat_universe, s):
             assert m.stats.count >= np.ceil(s * flat_universe.n_rows)
 
     def test_no_same_attribute_pairs(self, generalized_fixture):
-        for m in mine_fpgrowth(generalized_fixture, 0.1):
+        for m in mine(generalized_fixture, 0.1):
             attrs = [generalized_fixture.attribute_of[i] for i in m.ids]
             assert len(set(attrs)) == len(attrs)
 
     def test_monotone_in_support(self, flat_universe):
-        loose = {m.ids for m in mine_fpgrowth(flat_universe, 0.05)}
-        tight = {m.ids for m in mine_fpgrowth(flat_universe, 0.3)}
+        loose = {m.ids for m in mine(flat_universe, 0.05)}
+        tight = {m.ids for m in mine(flat_universe, 0.3)}
         assert tight <= loose
 
     def test_max_length_respected(self, flat_universe):
-        for m in mine_fpgrowth(flat_universe, 0.05, max_length=1):
+        for m in mine(flat_universe, 0.05, max_length=1):
             assert len(m.ids) == 1
 
     def test_subset_supports_dominate(self, flat_universe):
-        mined = {m.ids: m.stats.count for m in mine_fpgrowth(flat_universe, 0.05)}
+        mined = {m.ids: m.stats.count for m in mine(flat_universe, 0.05)}
         for ids, count in mined.items():
             if len(ids) > 1:
                 for sub in combinations(sorted(ids), len(ids) - 1):
@@ -168,18 +173,18 @@ class TestInvariants:
 
     def test_invalid_support(self, flat_universe):
         with pytest.raises(ValueError):
-            mine_fpgrowth(flat_universe, 0.0)
+            mine(flat_universe, 0.0)
         with pytest.raises(ValueError):
             mine_apriori(flat_universe, 1.5)
 
     def test_empty_universe(self):
         table = Table({"x": [1.0, 2.0]})
         universe = EncodedUniverse.from_table(table, [], np.ones(2))
-        assert mine_fpgrowth(universe, 0.5) == []
+        assert mine(universe, 0.5) == []
         assert mine_apriori(universe, 0.5) == []
 
     def test_nothing_frequent(self, flat_universe):
-        assert mine_fpgrowth(flat_universe, 0.999) == []
+        assert mine(flat_universe, 0.999) == []
 
 
 class TestEncodedUniverse:
@@ -193,12 +198,6 @@ class TestEncodedUniverse:
         got = flat_universe.stats_of_mask(mask)
         direct = OutcomeStats.from_outcomes(flat_universe.outcomes, mask)
         assert stats_equal(got, direct)
-
-    def test_transactions_match_masks(self, flat_universe):
-        transactions = flat_universe.transactions()
-        for row, items in enumerate(transactions):
-            for i in range(flat_universe.n_items()):
-                assert (i in items) == bool(flat_universe.masks[i, row])
 
     def test_restricted_preserves_masks(self, flat_universe):
         sub = flat_universe.restricted([0, 2, 4])
@@ -266,7 +265,7 @@ class TestUniverseBuilders:
 
 class TestBitsetVsPurePython:
     """Property-style: the packed-bitset engine must reproduce the
-    pure-Python backends exactly, across random tables mixing
+    pure-Python Apriori oracle exactly, across random tables mixing
     categorical and continuous attributes with missing outcomes."""
 
     @staticmethod
@@ -299,8 +298,8 @@ class TestBitsetVsPurePython:
     def test_bitset_equals_pure_python(self, seed):
         universe = self._random_universe(seed)
         support = [0.02, 0.05, 0.1, 0.25][seed % 4]
-        pure = as_dict(mine(universe, support, "eclat"))
-        packed = as_dict(mine(universe, support, "bitset"))
+        pure = as_dict(mine_apriori(universe, support))
+        packed = as_dict(mine(universe, support))
         assert set(packed) == set(pure)
         for ids in pure:
             # Bit-identical, not approximately equal.
@@ -309,22 +308,19 @@ class TestBitsetVsPurePython:
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_n_jobs_2_order_stable(self, seed):
         universe = self._random_universe(seed)
-        serial = mine(universe, 0.05, "bitset", n_jobs=1)
-        par = mine(universe, 0.05, "bitset", n_jobs=2)
+        serial = mine(universe, 0.05, n_jobs=1)
+        par = mine(universe, 0.05, n_jobs=2)
         # Same itemsets, same statistics, same emission order.
         assert [(m.ids, m.stats) for m in par] == [
             (m.ids, m.stats) for m in serial
         ]
 
-    def test_all_backends_agree_via_engine(self, generalized_fixture):
+    def test_reused_engine_agrees_with_oracle(self, generalized_fixture):
         from repro.core.mining.bitset import BitsetEngine
 
         engine = BitsetEngine(generalized_fixture)
-        ref = as_dict(mine(generalized_fixture, 0.1, "fpgrowth"))
-        for backend in ("apriori", "eclat", "bitset"):
-            got = as_dict(
-                mine(generalized_fixture, 0.1, backend, engine=engine)
-            )
-            assert set(got) == set(ref)
-            for ids in ref:
-                assert stats_equal(got[ids], ref[ids])
+        ref = as_dict(mine_apriori(generalized_fixture, 0.1))
+        # Cold engine, then the same (warm) engine, serial and sharded.
+        for n_jobs in (1, 1, 2, 2):
+            got = mine(generalized_fixture, 0.1, n_jobs=n_jobs, engine=engine)
+            assert as_dict(got) == ref

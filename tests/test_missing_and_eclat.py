@@ -1,5 +1,5 @@
-"""Tests for MissingItem, missing-item universes, the Eclat backend,
-and the error-difference outcome."""
+"""Tests for MissingItem, missing-item universes, the mining engine
+against its Apriori oracle, and the error-difference outcome."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem, Itemset, MissingItem
-from repro.core.mining import mine, mine_eclat, mine_fpgrowth
+from repro.core.mining import mine, mine_apriori
 from repro.core.outcomes import error_difference
 from repro.core.serialize import item_from_dict, item_to_dict
 from repro.tabular import ColumnKind, Schema, Table
@@ -90,8 +90,20 @@ class TestMissingUniverse:
         assert all(MissingItem("x") not in r.itemset for r in result)
 
 
-class TestEclat:
-    def test_matches_fpgrowth_flat(self, pocket_data):
+class TestMinerAgainstOracle:
+    """The bitset engine, serial and sharded, against the Apriori oracle
+    on missing-item-free pocket universes (the miner once had an Eclat
+    twin tested here)."""
+
+    @staticmethod
+    def _same(universe, support, **kwargs):
+        oracle = {m.ids: m.stats for m in mine_apriori(universe, support, **kwargs)}
+        for n_jobs in (1, 2):
+            got = mine(universe, support, n_jobs=n_jobs, **kwargs)
+            assert {m.ids: m.stats for m in got} == oracle
+            assert len(got) == len(oracle)
+
+    def test_matches_oracle_flat(self, pocket_data):
         from repro.core.discretize import TreeDiscretizer
         from repro.core.mining import base_universe
 
@@ -100,20 +112,16 @@ class TestEclat:
         universe = base_universe(
             table, errors, {a: t.leaf_items() for a, t in trees.items()}
         )
-        ec = {(m.ids, m.stats.count) for m in mine_eclat(universe, 0.1)}
-        fp = {(m.ids, m.stats.count) for m in mine_fpgrowth(universe, 0.1)}
-        assert ec == fp
+        self._same(universe, 0.1)
 
-    def test_matches_fpgrowth_generalized(self, pocket_data):
+    def test_matches_oracle_generalized(self, pocket_data):
         from repro.core.discretize import TreeDiscretizer
         from repro.core.mining import generalized_universe
 
         table, errors = pocket_data
         gamma = TreeDiscretizer(0.2).hierarchy_set(table, errors)
         universe = generalized_universe(table, errors, gamma)
-        ec = {(m.ids, m.stats.count) for m in mine_eclat(universe, 0.15)}
-        fp = {(m.ids, m.stats.count) for m in mine_fpgrowth(universe, 0.15)}
-        assert ec == fp
+        self._same(universe, 0.15)
 
     def test_max_length(self, pocket_data):
         from repro.core.discretize import TreeDiscretizer
@@ -124,25 +132,15 @@ class TestEclat:
         universe = base_universe(
             table, errors, {a: t.leaf_items() for a, t in trees.items()}
         )
-        mined = mine_eclat(universe, 0.1, max_length=2)
+        mined = mine(universe, 0.1, max_length=2)
         assert max(len(m.ids) for m in mined) == 2
+        self._same(universe, 0.1, max_length=2)
 
-    def test_dispatch(self, pocket_data):
+    def test_categorical_only(self, pocket_data):
         from repro.core.mining import base_universe
 
         table, errors = pocket_data
-        universe = base_universe(table, errors, {})
-        assert {m.ids for m in mine(universe, 0.1, "eclat")} == {
-            m.ids for m in mine(universe, 0.1, "apriori")
-        }
-
-    def test_explorer_backend(self, pocket_data):
-        table, errors = pocket_data
-        ec = HDivExplorer(0.1, tree_support=0.2, backend="eclat").explore(
-            table, errors
-        )
-        fp = HDivExplorer(0.1, tree_support=0.2).explore(table, errors)
-        assert ec.itemsets() == fp.itemsets()
+        self._same(base_universe(table, errors, {}), 0.1)
 
     def test_invalid_support(self, pocket_data):
         from repro.core.mining import base_universe
@@ -150,7 +148,9 @@ class TestEclat:
         table, errors = pocket_data
         universe = base_universe(table, errors, {})
         with pytest.raises(ValueError):
-            mine_eclat(universe, 0.0)
+            mine(universe, 0.0)
+        with pytest.raises(ValueError):
+            mine_apriori(universe, 0.0)
 
 
 class TestErrorDifference:

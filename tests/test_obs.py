@@ -1,7 +1,7 @@
 """Tests for ``repro.obs`` — spans, metrics, and telemetry determinism.
 
 Covers the collector mechanics (nesting, null-object behaviour,
-pickling), the cross-backend counter-parity contract, the
+pickling), the counter-parity contract against the mining oracle, the
 ``n_jobs``-invariance of merged worker counters, tracing-on/off
 result identity, and the three JSON payload schemas.
 """
@@ -195,42 +195,44 @@ class TestConfigIntegration:
 
 
 class TestCounterParity:
-    """The cross-backend metric contract (see docs/OBSERVABILITY.md)."""
+    """The mining metric contract (see docs/OBSERVABILITY.md)."""
 
-    CENTRAL = ("mining.frequent_itemsets",)
-
-    def collect(self, universe, backend, n_jobs=1):
+    def collect(self, universe, n_jobs=1, engine=None):
         obs = ObsCollector()
-        mined = mine(universe, 0.05, backend, n_jobs=n_jobs, obs=obs)
+        mined = mine(universe, 0.05, n_jobs=n_jobs, engine=engine, obs=obs)
         return mined, dict(obs.counters)
 
-    def test_central_counters_identical_across_backends(self, universe):
-        per_backend = {
-            b: self.collect(universe, b)[1]
-            for b in ("apriori", "fpgrowth", "eclat", "bitset")
-        }
-        reference = per_backend["bitset"]
-        level_keys = [
-            k for k in reference if k.startswith("mining.frequent.level_")
-        ]
-        assert level_keys, "level counters missing"
-        for backend, counters in per_backend.items():
-            for key in (*self.CENTRAL, *level_keys):
-                assert counters[key] == reference[key], (backend, key)
+    def test_central_counters_match_oracle(self, universe):
+        from collections import Counter
 
-    def test_eclat_and_bitset_fully_identical(self, universe):
-        mined_e, counters_e = self.collect(universe, "eclat")
-        mined_b, counters_b = self.collect(universe, "bitset")
-        assert counters_e == counters_b
-        assert mined_signature(mined_e) == mined_signature(mined_b)
-        assert counters_e["mining.candidates"] > 0
-        assert counters_e["mining.support_pruned"] > 0
-        assert counters_e["mining.rows_scanned"] > 0
+        from repro.core.mining import mine_apriori
+
+        _mined, counters = self.collect(universe)
+        oracle = mine_apriori(universe, 0.05)
+        assert counters["mining.frequent_itemsets"] == len(oracle)
+        levels = Counter(len(m.ids) for m in oracle)
+        assert {
+            k: v for k, v in counters.items()
+            if k.startswith("mining.frequent.level_")
+        } == {f"mining.frequent.level_{k}": n for k, n in levels.items()}
+
+    def test_warm_engine_counters_identical_to_cold(self, universe):
+        from repro.core.mining import BitsetEngine
+
+        mined_cold, cold = self.collect(universe)
+        engine = BitsetEngine(universe)
+        self.collect(universe, engine=engine)
+        mined_warm, warm = self.collect(universe, engine=engine)
+        assert warm == cold
+        assert mined_signature(mined_warm) == mined_signature(mined_cold)
+        assert cold["mining.candidates"] > 0
+        assert cold["mining.support_pruned"] > 0
+        assert cold["mining.rows_scanned"] > 0
 
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_parallel_merge_equals_serial(self, universe, n_jobs):
-        mined_serial, serial = self.collect(universe, "bitset")
-        mined_par, par = self.collect(universe, "bitset", n_jobs=n_jobs)
+        mined_serial, serial = self.collect(universe)
+        mined_par, par = self.collect(universe, n_jobs=n_jobs)
         assert par == serial
         assert mined_signature(mined_par) == mined_signature(mined_serial)
 
@@ -271,7 +273,7 @@ class TestTracingDeterminism:
         table, errors = pocket_data
         obs = ObsCollector()
         result = HDivExplorer(
-            ExploreConfig(min_support=0.05, backend="bitset", obs=obs)
+            ExploreConfig(min_support=0.05, obs=obs)
         ).explore(table, errors)
         names = [r.name for r in obs.roots]
         assert names == ["discretize", "encode", "mine", "materialize"]
@@ -559,7 +561,7 @@ class TestMemoryProfiling:
         obs = ObsCollector(profile_memory=profile)
         try:
             with obs.span("mine"):
-                mined = mine(universe, 0.05, "bitset", n_jobs=n_jobs, obs=obs)
+                mined = mine(universe, 0.05, n_jobs=n_jobs, obs=obs)
         finally:
             obs.stop_memory_profiling()
         return mined, obs

@@ -5,7 +5,12 @@ import pytest
 
 from repro.core.discretize import TreeDiscretizer
 from repro.core.items import CategoricalItem, IntervalItem
-from repro.core.mining import EncodedUniverse, generalized_universe, mine
+from repro.core.mining import (
+    EncodedUniverse,
+    generalized_universe,
+    mine,
+    mine_apriori,
+)
 from repro.core.polarity import item_polarities, mine_with_polarity
 from repro.tabular import Table
 
@@ -89,7 +94,15 @@ class TestMineWithPolarity:
         # The pocket is one-signed, so pruning must not lose it.
         assert best(pruned) == pytest.approx(best(complete))
 
-    def test_backends_agree(self, signed_universe):
-        fp = {m.ids for m in mine_with_polarity(signed_universe, 0.05, "fpgrowth")}
-        ap = {m.ids for m in mine_with_polarity(signed_universe, 0.05, "apriori")}
-        assert fp == ap
+    def test_matches_oracle_without_mixed_signs(self, signed_universe):
+        # Exactly the oracle's itemsets with at most one nonzero sign,
+        # with bit-identical statistics.
+        polarities = item_polarities(signed_universe)
+        expected = {
+            m.ids: m.stats
+            for m in mine_apriori(signed_universe, 0.05)
+            if len({polarities[i] for i in m.ids} - {0}) <= 1
+        }
+        pruned = mine_with_polarity(signed_universe, 0.05)
+        assert {m.ids: m.stats for m in pruned} == expected
+        assert len(pruned) == len(expected)

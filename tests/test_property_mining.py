@@ -1,7 +1,8 @@
-"""Property-based tests: mining backends on random universes.
+"""Property-based tests: the mining engine on random universes.
 
 The central invariants of DESIGN.md:
-(4) Apriori ≡ FP-Growth ≡ brute force, including accumulated stats;
+(4) bitset engine ≡ Apriori oracle ≡ brute force, including
+    accumulated stats;
 (3) generalized results ⊇ base results at equal support.
 """
 
@@ -15,7 +16,7 @@ from repro.core.discretize import TreeDiscretizer
 from repro.core.explorer import DivExplorer
 from repro.core.hexplorer import HDivExplorer
 from repro.core.items import CategoricalItem
-from repro.core.mining import EncodedUniverse, mine_apriori, mine_fpgrowth
+from repro.core.mining import EncodedUniverse, mine, mine_apriori
 from repro.tabular import Table
 
 
@@ -58,17 +59,19 @@ def brute_force(universe, min_support):
 
 @settings(max_examples=40, deadline=None)
 @given(universe=random_universe(), support=st.sampled_from([0.1, 0.25, 0.5]))
-def test_backends_match_brute_force(universe, support):
+def test_engine_and_oracle_match_brute_force(universe, support):
     expected = brute_force(universe, support)
-    for miner in (mine_apriori, mine_fpgrowth):
-        got = {m.ids: m.stats for m in miner(universe, support)}
-        assert set(got) == set(expected), miner.__name__
-        for ids, stats in got.items():
-            ref = expected[ids]
-            assert stats.count == ref.count
-            assert stats.n == ref.n
-            assert stats.total == pytest.approx(ref.total)
-            assert stats.total_sq == pytest.approx(ref.total_sq)
+    oracle = {m.ids: m.stats for m in mine_apriori(universe, support)}
+    engine = {m.ids: m.stats for m in mine(universe, support)}
+    # The engine reproduces the oracle bit for bit.
+    assert engine == oracle
+    assert set(oracle) == set(expected)
+    for ids, stats in oracle.items():
+        ref = expected[ids]
+        assert stats.count == ref.count
+        assert stats.n == ref.n
+        assert stats.total == pytest.approx(ref.total)
+        assert stats.total_sq == pytest.approx(ref.total_sq)
 
 
 @st.composite
@@ -102,8 +105,8 @@ def test_hierarchical_superset_of_base(data, support):
 @settings(max_examples=25, deadline=None)
 @given(universe=random_universe())
 def test_support_monotone_under_threshold(universe):
-    loose = {m.ids: m.stats.count for m in mine_fpgrowth(universe, 0.1)}
-    tight = {m.ids for m in mine_fpgrowth(universe, 0.4)}
+    loose = {m.ids: m.stats.count for m in mine(universe, 0.1)}
+    tight = {m.ids for m in mine(universe, 0.4)}
     assert tight <= set(loose)
     min_count = int(np.ceil(0.4 * universe.n_rows))
     for ids in tight:
@@ -116,7 +119,7 @@ def test_polarity_results_subset(universe):
     """Invariant 6: polarity-pruned ⊆ complete results."""
     from repro.core.polarity import mine_with_polarity
 
-    complete = {m.ids for m in mine_fpgrowth(universe, 0.1)}
+    complete = {m.ids for m in mine(universe, 0.1)}
     pruned = {
         m.ids
         for m in mine_with_polarity(

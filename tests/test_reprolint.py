@@ -232,35 +232,6 @@ class TestWallClockTiming:
         assert codes("import time\nstart = time.perf_counter()\n") == []
 
 
-class TestSilentDeprecation:
-    def test_flags_silent_legacy_pop(self):
-        src = """\
-        def shim(**kwargs):
-            support = kwargs.pop("max_level", None)
-            return support
-        """
-        assert codes(src) == ["RPL011"]
-
-    def test_warned_shim_is_fine(self):
-        src = """\
-        import warnings
-
-        def shim(**kwargs):
-            if "max_level" in kwargs:
-                warnings.warn("deprecated", DeprecationWarning, stacklevel=2)
-            return kwargs.pop("max_level", None)
-        """
-        assert codes(src) == []
-
-    def test_legacy_aliases_reference_needs_warning(self):
-        src = """\
-        def shim(kwargs):
-            for legacy, canonical in LEGACY_ALIASES.items():
-                kwargs.pop(legacy, None)
-        """
-        assert codes(src) == ["RPL011"]
-
-
 class TestUntypedPublicApi:
     CFG_PATH = "src/repro/core/config.py"
 
@@ -560,11 +531,11 @@ class TestPipelineInternalConstruction:
         src = """\
         from repro.core.discretize import TreeDiscretizer
         from repro.core.mining.bitset import BitsetEngine
-        from repro.core.mining.fpgrowth import mine_fpgrowth
+        from repro.core.mining.bitset import mine_bitset
 
         tree = TreeDiscretizer(0.1).fit(table, "age", outcome)
         engine = BitsetEngine(universe)
-        mined = mine_fpgrowth(universe, 0.05)
+        mined = mine_bitset(universe, 0.05)
         """
         assert codes(src) == ["RPL015", "RPL015", "RPL015"]
 
@@ -584,7 +555,7 @@ class TestPipelineInternalConstruction:
         session = ExploreSession(table, outcome)
         result = session.explore(0.05)
         cold = HDivExplorer(0.05).explore(table, outcome)
-        mined = mine(universe, 0.05, "bitset")
+        mined = mine(universe, 0.05)
         combined = CombinedTreeDiscretizer(0.1).fit(table, outcome)
         """
         assert codes(src) == []
